@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test test-fast qa campaign coverage bench bench-parallel bench-vector bench-ledger perf-gate examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
+.PHONY: install test test-fast qa campaign coverage bench bench-parallel bench-vector bench-ledger perf-gate perfbench examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
 
 install:
 	pip install -e .
@@ -99,6 +99,15 @@ perf-gate:
 	PYTHONPATH=src python -m repro.cli bench compare \
 		--ledger BENCH_ledger.json --baseline BENCH_baseline.json \
 		--max-drop 0.10 --max-rise 0.10
+
+# The repository benchmark (perfbench/NOTES.md): its own tests, then one
+# short untraced run of each workload.  BENCHMARK.json runs the same
+# command for 30 s per workload.
+perfbench:
+	python3 -m pytest perfbench -q
+	for w in offline_paper serve_trickle fleet_faults; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0 || exit 1; \
+	done
 
 examples:
 	for ex in examples/*.py; do \

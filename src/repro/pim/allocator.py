@@ -34,7 +34,7 @@ from repro.pim.dma import DMA_ALIGN, aligned_size
 __all__ = ["BumpAllocator", "TaskletAllocator", "Allocation"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """One allocated block: space and placement."""
 
@@ -65,16 +65,18 @@ class BumpAllocator:
         if nbytes < 0:
             raise AllocationError(f"negative allocation: {nbytes}")
         size = aligned_size(max(nbytes, 1))
-        if self.cursor + size > self.capacity:
+        cursor = self.cursor
+        end = cursor + size
+        if end > self.capacity:
             raise AllocationError(
                 f"{self.space} arena exhausted: need {size} bytes, "
-                f"{self.capacity - self.cursor} of {self.capacity} free"
+                f"{self.capacity - cursor} of {self.capacity} free"
             )
-        addr = self.base + self.cursor
-        self.cursor += size
-        self.high_water = max(self.high_water, self.cursor)
+        self.cursor = end
+        if end > self.high_water:
+            self.high_water = end
         self.allocations += 1
-        return Allocation(addr=addr, size=size, space=self.space)
+        return Allocation(self.base + cursor, size, self.space)
 
     def reset(self) -> None:
         """Free everything at once (between alignments)."""

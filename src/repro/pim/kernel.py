@@ -20,12 +20,12 @@ Fidelity notes (see DESIGN.md §2):
   parses them out of WRAM after a validated DMA, and results round-trip
   the same way.
 * The WFA arithmetic itself runs on the host Python engine for speed;
-  its *allocation log* is then replayed against the allocator and the
-  DMA engine, transfer by transfer, so capacity, alignment, and traffic
-  volumes are enforced/charged exactly as the DPU code would incur them.
-  Staged metadata buffer *contents* are not semantically meaningful
-  (they are scratch), so the replay reuses the reserved regions without
-  re-packing offsets.
+  its *allocation log* is then replayed against the allocator and
+  charged to the DMA engine in closed form, so capacity, alignment, and
+  traffic volumes are enforced/charged exactly as the DPU code would
+  incur them.  Staged metadata buffer *contents* are not semantically
+  meaningful (nothing reads them), so no metadata bytes are moved; see
+  :meth:`~repro.pim.dma.DmaEngine.charge_staged`.
 * Instruction counts come from the operation counters via
   :class:`~repro.perf.costs.DpuCostModel`.
 """
@@ -51,7 +51,7 @@ from repro.core.wfa_batch import BatchPairView, BatchWfaEngine
 from repro.errors import AllocationError, AlignmentError, KernelError
 from repro.pim.allocator import TaskletAllocator
 from repro.pim.config import DpuConfig
-from repro.pim.dma import aligned_size
+from repro.pim.dma import aligned_size, transfer_count
 from repro.pim.dpu import Dpu
 from repro.pim.layout import MramLayout
 from repro.pim.tasklet import TaskletContext, TaskletStats
@@ -423,7 +423,7 @@ class WfaDpuKernel:
         # 1. Fetch the input record MRAM -> WRAM.
         size = layout.input_record_size
         cycles = dpu.dma.read_large(layout.input_addr(index), ctx.input_buffer, size)
-        stats.add_dma(cycles, size)
+        stats.add_dma(cycles, size, transfer_count(size))
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -529,7 +529,10 @@ class WfaDpuKernel:
         cycles = dpu.dma.write_large(
             ctx.result_buffer, layout.result_addr(index), layout.result_record_size
         )
-        stats.add_dma(cycles, layout.result_record_size)
+        stats.add_dma(
+            cycles, layout.result_record_size,
+            transfer_count(layout.result_record_size),
+        )
         if trace is not None:
             trace.record(
                 TraceEvent(
@@ -576,7 +579,9 @@ class WfaDpuKernel:
         (stage-out) and DMA-read back once per later score that uses it
         as a recurrence source — M wavefronts twice under affine
         penalties (mismatch source and gap-open source), I/D once —
-        plus once more during traceback.
+        plus once more during traceback.  The stagings are charged in
+        closed form from per-size :class:`~repro.pim.dma.StagePlan`s;
+        no bytes move.
         """
         log = counters.wavefront_log
         if not log:
@@ -617,47 +622,33 @@ class WfaDpuKernel:
 
         stage = ctx.staging_buffers[0] if ctx.staging_buffers else ctx.input_buffer
         chunk = self.config.staging_chunk_bytes
-        for score, comp, lo, hi in log:
-            nbytes = aligned_size(4 * (hi - lo + 1))
-            alloc = ctx.allocator.alloc_metadata(nbytes)
-            # Stage-out at creation.
-            cycles = self._stage(dpu, stage, alloc.addr, nbytes, chunk, write=True)
-            stats_reads = reads_of(score, comp)
-            if self.config.traceback:
-                stats_reads += 1
-            ctx.stats.add_dma(cycles, nbytes)
-            # Stage-in for each later use.
-            for _ in range(stats_reads):
-                cycles = self._stage(
-                    dpu, stage, alloc.addr, nbytes, chunk, write=False
-                )
-                ctx.stats.add_dma(cycles, nbytes)
-
-    @staticmethod
-    def _stage(
-        dpu: Dpu, stage: int, mram_addr: int, nbytes: int, chunk: Optional[int],
-        write: bool,
-    ) -> float:
-        """Move ``nbytes`` between the staging buffer and MRAM.
-
-        Whole-wavefront mode reuses the large staging buffer; chunked
-        mode loops a fixed-size buffer over the block (more transfers,
-        constant WRAM).
-        """
-        if chunk is None:
-            if write:
-                return dpu.dma.write_large(stage, mram_addr, nbytes)
-            return dpu.dma.read_large(mram_addr, stage, nbytes)
-        cycles = 0.0
-        done = 0
-        while done < nbytes:
-            piece = min(chunk, nbytes - done)
-            if write:
-                cycles += dpu.dma.write(stage, mram_addr + done, piece)
-            else:
-                cycles += dpu.dma.read(mram_addr + done, stage, piece)
-            done += piece
-        return cycles
+        extra_reads = 1 if self.config.traceback else 0
+        alloc_metadata = ctx.allocator.alloc_metadata
+        stage_plan = dpu.dma.stage_plan
+        stats = ctx.stats
+        cycles, transfers, moved = stats.dma_cycles, 0, 0
+        # (MRAM block, transfer plan, stagings): one stage-out at creation,
+        # one stage-in per later use.  The blocks allocated before an
+        # arena overflow are still charged, as their transfers came first.
+        blocks = []
+        try:
+            for score, comp, lo, hi in log:
+                nbytes = aligned_size(4 * (hi - lo + 1))
+                addr = alloc_metadata(nbytes).addr
+                plan = stage_plan(nbytes, chunk)
+                uses = 1 + reads_of(score, comp) + extra_reads
+                blocks.append((addr, plan, uses))
+                # One add per stage, never ``plan.cycles * uses``: the
+                # float total must match the per-stage sum bit for bit.
+                for stage_cycles in (plan.cycles,) * uses:
+                    cycles += stage_cycles
+                transfers += uses * len(plan.pieces)
+                moved += uses * nbytes
+        finally:
+            dpu.dma.charge_staged(stage, blocks)
+        stats.dma_cycles = cycles
+        stats.dma_transfers += transfers
+        stats.dma_bytes += moved
 
 
 def max_supported_tasklets(

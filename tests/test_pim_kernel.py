@@ -230,6 +230,19 @@ class TestKernelExecution:
         assert d2.dma.transfers > d1.dma.transfers
         assert sum(t.dma_cycles for t in s2) > sum(t.dma_cycles for t in s1)
 
+    @pytest.mark.parametrize("chunk", [None, 32])
+    def test_tasklet_dma_transfers_count_engine_transfers(self, chunk):
+        # chunked staging splits each stage into several DMA transfers;
+        # the tasklet totals count transfers, not stages
+        pairs = ReadPairGenerator(length=70, error_rate=0.05, seed=10).pairs(8)
+        kc = KernelConfig(
+            penalties=PEN, max_read_len=70, max_edits=4, staging_chunk_bytes=chunk
+        )
+        kernel, dpu, layout, assignments = setup_dpu(pairs, kc, tasklets=2)
+        stats, _ = kernel.run(dpu, layout, assignments, "mram")
+        assert sum(t.dma_transfers for t in stats) == dpu.dma.transfers
+        assert dpu.dma.transfers == (904 if chunk is None else 1964)
+
     def test_chunked_staging_shrinks_wram_plan(self):
         kc_whole = KernelConfig(penalties=PEN, max_read_len=1000, max_edits=20)
         kc_chunk = KernelConfig(

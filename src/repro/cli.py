@@ -173,17 +173,23 @@ def _parse_net_plan(args: argparse.Namespace):
     return net_plan, policy
 
 
-def _build_serve_service(args: argparse.Namespace):
+def _fault_plan_from_args(args: argparse.Namespace):
+    """The ``FaultPlan`` named by ``--kill-dpu``/``--stall-dpu`` (or None)."""
     from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
+
+    kill, stall = args.kill_dpu, args.stall_dpu
+    if kill is None and stall is None:
+        return None
+    return FaultPlan(
+        deaths=(DpuDeath(dpu_id=kill),) if kill is not None else (),
+        stalls=(TaskletStall(dpu_id=stall),) if stall is not None else (),
+    )
+
+
+def _build_serve_service(args: argparse.Namespace):
     from repro.serve import FallbackPolicy, ServiceConfig, build_service
 
-    fault_plan = None
-    deaths = (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-    stalls = (
-        (TaskletStall(dpu_id=args.stall_dpu),) if args.stall_dpu is not None else ()
-    )
-    if deaths or stalls:
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
+    fault_plan = _fault_plan_from_args(args)
     health_policy = None
     if args.breaker:
         from repro.pim.health import HealthPolicy
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "byte-identical to --shards 1")
     pim.add_argument("--shard-workers", type=int, default=1, metavar="N",
                      help="host processes running shards in parallel "
-                          "(1 = sequential; health-ledger deltas ride home "
+                          "(0/1 = inline; health-ledger deltas ride home "
                           "in each shard's outcome, so --breaker composes; "
                           "results are identical either way)")
     pim.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
@@ -723,24 +729,13 @@ def _pim_align_scheduled(args: argparse.Namespace, system, pairs, telemetry) -> 
     import warnings
 
     from repro.errors import DegradedCapacity
-    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
     from repro.pim.health import FleetHealth
     from repro.pim.scheduler import BatchScheduler
 
     if args.resume and args.journal is None:
         print("error: --resume requires --journal", file=sys.stderr)
         return 1
-    fault_plan = None
-    if args.kill_dpu is not None or args.stall_dpu is not None:
-        deaths = (
-            (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-        )
-        stalls = (
-            (TaskletStall(dpu_id=args.stall_dpu),)
-            if args.stall_dpu is not None
-            else ()
-        )
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
+    fault_plan = _fault_plan_from_args(args)
     health = None
     if args.breaker:
         health = FleetHealth(
@@ -814,23 +809,12 @@ def _pim_align_fleet(args: argparse.Namespace, config, kernel_config, pairs,
     import warnings
 
     from repro.errors import DegradedCapacity
-    from repro.pim.faults import DpuDeath, FaultPlan, TaskletStall
     from repro.pim.fleet import FleetCoordinator
 
     if args.resume and args.journal is None:
         print("error: --resume requires --journal", file=sys.stderr)
         return 1
-    fault_plan = None
-    if args.kill_dpu is not None or args.stall_dpu is not None:
-        deaths = (
-            (DpuDeath(dpu_id=args.kill_dpu),) if args.kill_dpu is not None else ()
-        )
-        stalls = (
-            (TaskletStall(dpu_id=args.stall_dpu),)
-            if args.stall_dpu is not None
-            else ()
-        )
-        fault_plan = FaultPlan(deaths=deaths, stalls=stalls)
+    fault_plan = _fault_plan_from_args(args)
     health_policy = None
     if args.breaker:
         from repro.pim.health import HealthPolicy

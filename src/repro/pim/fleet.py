@@ -23,10 +23,9 @@ Sharding model — **round striping**:
   shards receive no rounds and a ``rebalance`` event is published on
   every change of the active set;
 * each shard executes its rounds through its own
-  :class:`~repro.pim.scheduler.BatchScheduler` (sequentially, or
-  process-parallel across shards via ``shard_workers`` — the same
-  ``ProcessPoolExecutor`` fan-out :mod:`repro.pim.parallel` uses below
-  for per-DPU jobs).
+  :class:`~repro.pim.scheduler.BatchScheduler` (inline, or
+  process-parallel across shards with ``shard_workers > 1`` — the same
+  :func:`~repro.pim.parallel.fan_out` per-DPU jobs use below).
 
 Because every shard has the same shape and a round's outcome is a pure
 function of (chunk, system config, fault plan, retry policy), a round
@@ -78,19 +77,17 @@ byte-identical to the pre-transport fleet.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.data.generator import ReadPair
 from repro.errors import ConfigError, DegradedCapacity, JournalError, TransportError
 from repro.pim.faults import FaultPlan, RecoveryReport, RetryPolicy
+from repro.pim.journal import workload_fingerprint, write_atomic
 from repro.pim.kernel import KernelConfig
+from repro.pim.parallel import fan_out
 from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
 from repro.pim.system import PimRunResult, PimSystem
 from repro.pim.transport import (
@@ -103,7 +100,7 @@ from repro.pim.transport import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import RunTelemetry
     from repro.pim.config import PimSystemConfig
-    from repro.pim.health import HealthPolicy
+    from repro.pim.health import FleetHealth, HealthPolicy
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -213,8 +210,31 @@ class ShardOutcome:
     health_state: Optional[dict] = None
 
 
+def _run_shard(
+    scheduler: BatchScheduler, health: Optional["FleetHealth"], task: ShardTask
+) -> ScheduledRun:
+    """Run one shard's rounds, resuming from ``task.journal_path`` when
+    ``task.resume`` is set and the journal exists."""
+    options = dict(
+        pairs_per_round=task.pairs_per_round,
+        collect_results=task.collect_results,
+        fault_plan=task.fault_plan,
+        retry_policy=task.retry_policy,
+        health=health,
+        now=task.now,
+    )
+    pairs = list(task.pairs)
+    if (
+        task.resume
+        and task.journal_path is not None
+        and Path(task.journal_path).exists()
+    ):
+        return scheduler.resume_run(task.journal_path, pairs, **options)
+    return scheduler.run(pairs, journal=task.journal_path, **options)
+
+
 def run_fleet_shard(task: ShardTask) -> ShardOutcome:
-    """Run one shard's rounds; picklable in and out.
+    """Run one shard's rounds on a fresh system; picklable in and out.
 
     Journals to ``task.journal_path`` (a standard per-shard
     ``repro.pim.journal/v1`` file) when set; with ``task.resume`` and an
@@ -241,36 +261,9 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
         )
         if task.health_state is not None:
             health.import_state(task.health_state)
-    pairs = list(task.pairs)
-    if (
-        task.resume
-        and task.journal_path is not None
-        and Path(task.journal_path).exists()
-    ):
-        run = scheduler.resume_run(
-            task.journal_path,
-            pairs,
-            pairs_per_round=task.pairs_per_round,
-            collect_results=task.collect_results,
-            fault_plan=task.fault_plan,
-            retry_policy=task.retry_policy,
-            health=health,
-            now=task.now,
-        )
-    else:
-        run = scheduler.run(
-            pairs,
-            pairs_per_round=task.pairs_per_round,
-            collect_results=task.collect_results,
-            fault_plan=task.fault_plan,
-            retry_policy=task.retry_policy,
-            health=health,
-            journal=task.journal_path,
-            now=task.now,
-        )
     return ShardOutcome(
         shard_id=task.shard_id,
-        run=run,
+        run=_run_shard(scheduler, health, task),
         metrics=telemetry.registry.snapshot() if telemetry is not None else None,
         events=(
             [e.to_dict() for e in telemetry.events.events()]
@@ -400,10 +393,11 @@ class FleetCoordinator:
     set.  If *every* shard is quarantined the full fleet becomes probe
     traffic (mirroring :meth:`~repro.pim.health.FleetHealth.plan_round`).
 
-    ``shard_workers`` > 1 fans shards out over a
-    ``ProcessPoolExecutor`` (falling back to sequential execution if
-    the pool cannot start) — results are identical either way because a
-    shard's outcome is a pure function of its task.  Health ledgers
+    ``shard_workers > 1`` fans shards out over
+    :func:`~repro.pim.parallel.fan_out` (every shard reruns inline if
+    the pool cannot start); ``0`` and ``1`` both run shards inline on
+    their persistent systems.  Results are identical either way because
+    a shard's outcome is a pure function of its task.  Health ledgers
     survive the process boundary: each task carries the coordinator's
     exported breaker state in, the worker feeds its own rebuilt ledger,
     and the :class:`ShardOutcome` ships the end state home where it is
@@ -613,8 +607,6 @@ class FleetCoordinator:
     ) -> dict:
         """Fleet workload fingerprint: excludes ``workers`` *and*
         ``shards`` (the manifest records the shard count)."""
-        from repro.pim.journal import workload_fingerprint
-
         policy: Optional[RetryPolicy] = None
         if fault_plan is not None:
             policy = retry_policy if retry_policy is not None else RetryPolicy()
@@ -629,26 +621,6 @@ class FleetCoordinator:
             retry_policy=policy,
             health_policy=self.health_policy,
         )
-
-    @staticmethod
-    def _write_manifest(directory: Path, doc: dict) -> None:
-        """Atomic manifest write (same temp-file + replace discipline as
-        the per-shard journals)."""
-        directory.mkdir(parents=True, exist_ok=True)
-        target = directory / MANIFEST_NAME
-        fd, tmp = tempfile.mkstemp(
-            dir=str(directory), prefix=MANIFEST_NAME, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     @staticmethod
     def load_manifest(directory: Union[str, Path]) -> dict:
@@ -730,22 +702,23 @@ class FleetCoordinator:
 
         journal_dir = Path(journal) if journal is not None else None
         if journal_dir is not None and not resume:
-            self._write_manifest(
-                journal_dir,
-                {
-                    "schema": MANIFEST_SCHEMA,
-                    "shards": self.shards,
-                    "dpus_per_shard": self.dpus_per_shard,
-                    "fault_domain": self.fault_domain,
-                    "pairs_per_round": schedule.pairs_per_round,
-                    "placements": list(placements),
-                    "journals": {
-                        str(k): shard_journal_name(k) for k in sorted(shard_rounds)
-                    },
-                    "fingerprint": self._fingerprint(
-                        pairs, schedule, collect_results, fault_plan, retry_policy
-                    ),
+            manifest = {
+                "schema": MANIFEST_SCHEMA,
+                "shards": self.shards,
+                "dpus_per_shard": self.dpus_per_shard,
+                "fault_domain": self.fault_domain,
+                "pairs_per_round": schedule.pairs_per_round,
+                "placements": list(placements),
+                "journals": {
+                    str(k): shard_journal_name(k) for k in sorted(shard_rounds)
                 },
+                "fingerprint": self._fingerprint(
+                    pairs, schedule, collect_results, fault_plan, retry_policy
+                ),
+            }
+            write_atomic(
+                journal_dir / MANIFEST_NAME,
+                json.dumps(manifest, sort_keys=True, indent=2) + "\n",
             )
 
         tasks: list[ShardTask] = []
@@ -785,7 +758,7 @@ class FleetCoordinator:
                 )
             )
 
-        shard_runs = self._execute(tasks, resume=resume, now=now)
+        shard_runs = self._execute(tasks)
 
         per_round: list[Optional[PimRunResult]] = [None] * schedule.rounds
         rounds_replayed = 0
@@ -817,69 +790,24 @@ class FleetCoordinator:
             rounds_replayed=rounds_replayed,
         )
 
-    def _execute(
-        self, tasks: list[ShardTask], resume: bool, now: float
-    ) -> dict[int, ScheduledRun]:
-        """Run shard tasks sequentially or over a process pool."""
-        if self.shard_workers not in (0, 1) and len(tasks) > 1:
-            workers = self.shard_workers or (os.cpu_count() or 1)
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks))
-                ) as pool:
-                    outcomes = list(pool.map(run_fleet_shard, tasks))
-                return self._absorb(outcomes)
-            except (OSError, BrokenProcessPool):
-                # pool infrastructure failure: the sequential path is
-                # result-identical (same discipline as repro.pim.parallel)
-                pass
-        outcomes = []
-        for task in tasks:
-            outcomes.append(self._run_shard_inline(task))
-        return self._absorb(outcomes, inline=True)
-
-    def _run_shard_inline(self, task: ShardTask) -> ShardOutcome:
-        """Run one shard on its persistent system/health in-process."""
-        k = task.shard_id
-        scheduler = self.schedulers[k]
-        pairs = list(task.pairs)
-        if (
-            task.resume
-            and task.journal_path is not None
-            and Path(task.journal_path).exists()
-        ):
-            run = scheduler.resume_run(
-                task.journal_path,
-                pairs,
-                pairs_per_round=task.pairs_per_round,
-                collect_results=task.collect_results,
-                fault_plan=task.fault_plan,
-                retry_policy=task.retry_policy,
-                health=self.shard_healths[k],
-                now=task.now,
+    def _execute(self, tasks: list[ShardTask]) -> dict[int, ScheduledRun]:
+        """Run shard tasks inline on the persistent shard systems, or
+        over :func:`~repro.pim.parallel.fan_out` with ``shard_workers > 1``."""
+        if self.shard_workers > 1 and len(tasks) > 1:
+            return self._absorb(fan_out(run_fleet_shard, tasks, self.shard_workers))
+        return {
+            task.shard_id: _run_shard(
+                self.schedulers[task.shard_id], self.shard_healths[task.shard_id], task
             )
-        else:
-            run = scheduler.run(
-                pairs,
-                pairs_per_round=task.pairs_per_round,
-                collect_results=task.collect_results,
-                fault_plan=task.fault_plan,
-                retry_policy=task.retry_policy,
-                health=self.shard_healths[k],
-                journal=task.journal_path,
-                now=task.now,
-            )
-        return ShardOutcome(shard_id=k, run=run)
+            for task in tasks
+        }
 
-    def _absorb(
-        self, outcomes: list[ShardOutcome], inline: bool = False
-    ) -> dict[int, ScheduledRun]:
-        """Fold shard outcomes home; merge worker telemetry deltas."""
+    def _absorb(self, outcomes: Iterable[ShardOutcome]) -> dict[int, ScheduledRun]:
+        """Fold fresh-system shard outcomes home: import each worker's
+        health end state and merge its telemetry deltas."""
         shard_runs: dict[int, ScheduledRun] = {}
         for outcome in outcomes:
             shard_runs[outcome.shard_id] = outcome.run
-            if inline:
-                continue  # persistent shard telemetry already has it all
             if outcome.health_state is not None:
                 health = self.shard_healths[outcome.shard_id]
                 if health is not None:

@@ -25,10 +25,10 @@ fault plan, retry policy, health policy).  Each subsequent line is one
 record carrying a fully serialized :class:`~repro.pim.system.PimRunResult`
 (floats round-trip exactly through JSON's shortest-repr encoding, so
 replayed timings are bit-equal).  Appends are atomic at record
-granularity: the journal rewrites to a temp file in the same directory
-and ``os.replace``\\ s it over the old one, so a crash leaves either the
-old or the new journal, never a torn line — and a torn final line from
-some other writer is tolerated (ignored) at load.
+granularity: the journal rewrites to a temp file in the same directory,
+fsyncs it and renames it over the old one (:func:`write_atomic`), so a
+crash leaves either the old or the new journal, never a torn line — and
+a torn final line from some other writer is tolerated (ignored) at load.
 
 Resume refuses to mix workloads: a journal whose fingerprint does not
 match the offered workload/configuration raises
@@ -60,6 +60,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "RunJournal",
     "workload_fingerprint",
+    "write_atomic",
     "result_to_dict",
     "result_from_dict",
 ]
@@ -195,15 +196,45 @@ def result_from_dict(data: dict) -> PimRunResult:
 # -- the journal file ----------------------------------------------------------
 
 
+def write_atomic(path: Union[str, Path], text: str) -> None:
+    """Durably replace ``path``'s contents with ``text``.
+
+    Writes a temp file alongside the target, fsyncs it, renames it over
+    the target with ``os.replace``, then fsyncs the directory so the
+    rename itself survives a power loss.  A crash leaves either the old
+    or the new file, never a torn one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
 class RunJournal:
     """One run's JSONL journal: a header line plus per-round records.
 
     The whole journal is kept in memory (a run has at most a few dozen
-    rounds) and rewritten atomically on every append: serialize to a
-    temp file alongside the target, ``os.replace`` over it.  Loading
-    tolerates a torn trailing line (dropped with the partial round it
-    described) but raises :class:`~repro.errors.JournalError` for a
-    missing/foreign header or records that do not parse.
+    rounds) and rewritten atomically on every append
+    (:func:`write_atomic`).  Loading tolerates a torn trailing line
+    (dropped with the partial round it described) but raises
+    :class:`~repro.errors.JournalError` for a missing/foreign header or
+    records that do not parse.
     """
 
     def __init__(self, path: Union[str, Path], header: dict) -> None:
@@ -308,19 +339,6 @@ class RunJournal:
     # -- disk -------------------------------------------------------------
 
     def _write(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         lines = [json.dumps(self.header, sort_keys=True)]
         lines += [json.dumps(r, sort_keys=True) for r in self._records]
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write("\n".join(lines) + "\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self.path, "\n".join(lines) + "\n")

@@ -18,12 +18,14 @@ parallel run is result-identical to a sequential run, including the
 modeled timings and the :class:`~repro.pim.transfer.TransferStats`
 accounting.
 
-The sequential path is the fallback, engaged when
+:func:`fan_out` is the one process fan-out of the package: per-DPU
+jobs here, fleet shards (:mod:`repro.pim.fleet`) and campaign cells
+(:mod:`repro.qa.campaign`) all go through it.  It runs inline when
 
-* ``workers`` resolves to one, or there is at most one job; or
+* ``workers <= 1``, or there is at most one item; or
 * the process pool cannot be started or dies underneath us
   (``OSError`` on fork/spawn, ``BrokenProcessPool``) — e.g. in
-  sandboxes that forbid subprocesses.
+  sandboxes that forbid subprocesses; every item then reruns inline.
 
 Genuine simulation errors (:class:`~repro.errors.ReproError` subclasses
 raised inside a worker) propagate to the caller unchanged, as they
@@ -36,7 +38,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.core.cigar import Cigar
 from repro.data.generator import ReadPair, ReadPairGenerator
@@ -54,7 +57,6 @@ from repro.pim.faults import (
     JobRecoveryRecord,
     RecoveryReport,
     RetryPolicy,
-    spare_placements,
 )
 from repro.pim.config import DpuConfig, HostTransferConfig
 from repro.pim.dpu import Dpu, DpuKernelStats
@@ -72,8 +74,12 @@ __all__ = [
     "run_dpu_job_resilient",
     "execute_jobs",
     "execute_jobs_resilient",
+    "fan_out",
     "resolve_workers",
 ]
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -149,6 +155,15 @@ class DpuJob:
     def placement(self) -> int:
         """The physical DPU this job runs on."""
         return self.dpu_id if self.physical_dpu_id is None else self.physical_dpu_id
+
+    @property
+    def num_pairs(self) -> int:
+        """Batch size, without drawing a generator job's sample."""
+        if self.pairs is not None:
+            return len(self.pairs)
+        if self.generator is not None:
+            return self.generator.count
+        raise ConfigError("DpuJob needs either pairs or a generator spec")
 
     def batch(self) -> list[ReadPair]:
         if self.pairs is not None:
@@ -318,7 +333,7 @@ def run_dpu_job_resilient(
     watchdog deadline expiring, so its detection latency is paid on
     every stall, including a terminal one.
     """
-    record = JobRecoveryRecord(dpu_id=job.dpu_id, num_pairs=len(job.batch()))
+    record = JobRecoveryRecord(dpu_id=job.dpu_id, num_pairs=job.num_pairs)
     placements = [job.placement]
     placements += [
         p for p in job.requeue_placements[: policy.max_requeues]
@@ -385,6 +400,29 @@ def resolve_workers(workers: int, num_jobs: int) -> int:
     return max(1, min(workers, num_jobs))
 
 
+def fan_out(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    With ``workers <= 1`` or at most one item the calls run inline and
+    lazily — each result is yielded before the next call starts.
+    Otherwise they run over ``min(workers, len(items))`` processes
+    (``fn`` and the items must pickle); if the pool cannot start or
+    breaks, every item reruns inline, which is result-identical because
+    ``fn`` is a pure function of its item.
+    """
+    items = list(items)
+    if workers > 1 and len(items) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+                results = list(pool.map(fn, items))
+        except (OSError, BrokenProcessPool):
+            pass
+        else:
+            yield from results
+            return
+    yield from map(fn, items)
+
+
 def execute_jobs(jobs: Iterable[DpuJob], workers: int = 1) -> list[DpuJobResult]:
     """Execute DPU jobs, in-process or over a process pool.
 
@@ -392,17 +430,7 @@ def execute_jobs(jobs: Iterable[DpuJob], workers: int = 1) -> list[DpuJobResult]
     so callers can merge without re-deriving the schedule.
     """
     jobs = list(jobs)
-    n = resolve_workers(workers, len(jobs))
-    if n <= 1 or len(jobs) <= 1:
-        records = [run_dpu_job(job) for job in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                records = list(pool.map(run_dpu_job, jobs))
-        except (OSError, BrokenProcessPool):
-            # Pool infrastructure failure (fork forbidden, worker killed):
-            # fall back to the sequential path, which is result-identical.
-            records = [run_dpu_job(job) for job in jobs]
+    records = list(fan_out(run_dpu_job, jobs, resolve_workers(workers, len(jobs))))
     records.sort(key=lambda r: r.dpu_id)
     return records
 
@@ -425,17 +453,8 @@ def execute_jobs_resilient(
     jobs = list(jobs)
     if policy is None:
         policy = RetryPolicy()
-    n = resolve_workers(workers, len(jobs))
-    if n <= 1 or len(jobs) <= 1:
-        outcomes = [run_dpu_job_resilient(job, policy) for job in jobs]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                outcomes = list(
-                    pool.map(run_dpu_job_resilient, jobs, [policy] * len(jobs))
-                )
-        except (OSError, BrokenProcessPool):
-            outcomes = [run_dpu_job_resilient(job, policy) for job in jobs]
+    run = partial(run_dpu_job_resilient, policy=policy)
+    outcomes = list(fan_out(run, jobs, resolve_workers(workers, len(jobs))))
     outcomes.sort(key=lambda o: o.record.dpu_id)
     report = RecoveryReport(records=[o.record for o in outcomes])
     records = [o.result for o in outcomes if o.result is not None]

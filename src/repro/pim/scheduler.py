@@ -14,6 +14,7 @@ round ``i``'s kernel runs — the standard optimization the paper's
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -293,23 +294,16 @@ class BatchScheduler:
                     active = health.plan_round(now=clock)
                     if len(active) == self.system.config.num_dpus:
                         active = None
+                span = nullcontext()
                 if telemetry is not None:
                     telemetry.registry.counter(
                         "pim_scheduler_rounds_total",
                         "distribute->launch->gather rounds executed",
                     ).inc()
-                    with telemetry.profiler.span(
+                    span = telemetry.profiler.span(
                         "scheduler_round", round=index, pairs=size
-                    ):
-                        result = self.system.align(
-                            chunk,
-                            collect_results=collect_results,
-                            workers=self.workers,
-                            fault_plan=fault_plan,
-                            retry_policy=retry_policy,
-                            active_dpus=active,
-                        )
-                else:
+                    )
+                with span:
                     result = self.system.align(
                         chunk,
                         collect_results=collect_results,

@@ -31,6 +31,7 @@ deterministically by ``dpu_id``, so the two modes are result-identical.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -292,32 +293,6 @@ class PimSystem:
         )
         return per_dpu, results, regions, simulated, run_trace
 
-    def _execute(self, jobs: list[DpuJob], workers: Optional[int], kind: str):
-        """Run jobs, under a wall-time profiler span when telemetry is on."""
-        n = self._resolve_workers(workers)
-        if self.telemetry is None:
-            return execute_jobs(jobs, n)
-        with self.telemetry.profiler.span(
-            "host_execute", kind=kind, jobs=len(jobs), workers=n
-        ):
-            return execute_jobs(jobs, n)
-
-    def _execute_recovered(
-        self,
-        jobs: list[DpuJob],
-        workers: Optional[int],
-        kind: str,
-        policy: RetryPolicy,
-    ) -> tuple[list[DpuJobResult], RecoveryReport]:
-        """Fault-tolerant job execution under the same profiling span."""
-        n = self._resolve_workers(workers)
-        if self.telemetry is None:
-            return execute_jobs_resilient(jobs, n, policy)
-        with self.telemetry.profiler.span(
-            "host_execute", kind=kind, jobs=len(jobs), workers=n
-        ):
-            return execute_jobs_resilient(jobs, n, policy)
-
     def _run_jobs(
         self,
         jobs: list[DpuJob],
@@ -327,31 +302,37 @@ class PimSystem:
         retry_policy: Optional[RetryPolicy],
         num_slots: Optional[int] = None,
     ) -> tuple[list[DpuJobResult], Optional[RecoveryReport]]:
-        """Dispatch jobs on the plain or the recovered path.
+        """Run jobs, under a wall-time profiler span when telemetry is on.
 
-        With a fault plan, the report's pair-index attribution is filled
-        in under the round-robin contract (over ``num_slots`` logical
-        slots) and its counters land in the attached telemetry registry.
+        With a fault plan the jobs take the recovered path; the report's
+        pair-index attribution is filled in under the round-robin
+        contract (over ``num_slots`` logical slots) and its counters land
+        in the attached telemetry registry.
         """
-        if fault_plan is None:
-            return self._execute(jobs, workers, kind), None
-        policy = (
-            retry_policy
-            if retry_policy is not None
-            else (self.retry_policy if self.retry_policy is not None else RetryPolicy())
+        n = self.config.workers if workers is None else workers
+        span = (
+            self.telemetry.profiler.span(
+                "host_execute", kind=kind, jobs=len(jobs), workers=n
+            )
+            if self.telemetry is not None
+            else nullcontext()
         )
-        records, report = self._execute_recovered(jobs, workers, kind, policy)
+        with span:
+            if fault_plan is None:
+                return execute_jobs(jobs, n), None
+            records, report = execute_jobs_resilient(
+                jobs,
+                n,
+                retry_policy if retry_policy is not None else self.retry_policy,
+            )
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
-            {job.dpu_id: len(job.batch()) for job in jobs},
+            {job.dpu_id: job.num_pairs for job in jobs},
         )
         if self.telemetry is not None:
             report.count_into(self.telemetry.registry)
         return records, report
-
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        return self.config.workers if workers is None else workers
 
     def _system_bytes(
         self, num_pairs: int, layout: MramLayout, num_slots: Optional[int] = None
@@ -449,14 +430,41 @@ class PimSystem:
             if not collect_results:
                 results = []
                 regions = {}
-        kernel_seconds = max((s.seconds for s in per_dpu), default=0.0)
-        bytes_in, bytes_out = self._system_bytes(n, layout, num_slots=num_slots)
-        run = PimRunResult(
-            num_pairs=n,
+        return self._finish_run(
+            "align",
+            n,
+            layout,
+            per_dpu,
+            run_trace,
+            num_slots=num_slots,
             pairs_simulated=simulated,
+            results=results,
+            regions=regions,
+            recovery=recovery,
+            active_dpus=active,
+        )
+
+    def _finish_run(
+        self,
+        kind: str,
+        num_pairs: int,
+        layout: MramLayout,
+        per_dpu: list[DpuKernelStats],
+        trace: KernelTrace,
+        num_slots: Optional[int] = None,
+        **fields,
+    ) -> PimRunResult:
+        """Build a run's :class:`PimRunResult` and hand it to telemetry.
+
+        Kernel time is the slowest simulated DPU's; transfer bytes are
+        the exact full-system counts for ``num_pairs``.
+        """
+        bytes_in, bytes_out = self._system_bytes(num_pairs, layout, num_slots)
+        run = PimRunResult(
+            num_pairs=num_pairs,
             tasklets=self.config.tasklets,
             metadata_policy=self.config.metadata_policy,
-            kernel_seconds=kernel_seconds,
+            kernel_seconds=max((s.seconds for s in per_dpu), default=0.0),
             transfer_in_seconds=self.transfer.to_dpu_seconds(
                 bytes_in, self.config.num_ranks
             ),
@@ -467,17 +475,8 @@ class PimSystem:
             bytes_in=bytes_in,
             bytes_out=bytes_out,
             per_dpu=per_dpu,
-            results=results,
-            regions=regions,
-            recovery=recovery,
-            active_dpus=active,
+            **fields,
         )
-        self._record_run("align", run, run_trace)
-        return run
-
-    def _record_run(
-        self, kind: str, run: PimRunResult, trace: KernelTrace
-    ) -> None:
         if self.telemetry is not None:
             self.telemetry.on_run(
                 kind,
@@ -485,6 +484,7 @@ class PimSystem:
                 trace,
                 seconds_per_cycle=self.config.dpu.timing.seconds(1.0),
             )
+        return run
 
     def _verify_results(
         self,
@@ -577,28 +577,15 @@ class PimSystem:
             summary.seconds *= scale
             summary.cycles *= scale
 
-        kernel_seconds = max((s.seconds for s in per_dpu), default=0.0)
-        bytes_in, bytes_out = self._system_bytes(spec.num_pairs, layout)
-        run = PimRunResult(
-            num_pairs=spec.num_pairs,
+        return self._finish_run(
+            "model_run",
+            spec.num_pairs,
+            layout,
+            per_dpu,
+            run_trace,
             pairs_simulated=simulated,
-            tasklets=self.config.tasklets,
-            metadata_policy=self.config.metadata_policy,
-            kernel_seconds=kernel_seconds,
-            transfer_in_seconds=self.transfer.to_dpu_seconds(
-                bytes_in, self.config.num_ranks
-            ),
-            transfer_out_seconds=self.transfer.from_dpu_seconds(
-                bytes_out, self.config.num_ranks
-            ),
-            launch_seconds=self.transfer.launch_seconds(),
-            bytes_in=bytes_in,
-            bytes_out=bytes_out,
-            per_dpu=per_dpu,
             results=results,
             regions=regions,
             scale_factor=scale,
             recovery=recovery,
         )
-        self._record_run("model_run", run, run_trace)
-        return run

@@ -26,8 +26,9 @@ every resulting *cell* on the modeled clock:
    under the same ablation and fault plan.
 
 Cells are pure functions of ``(campaign config, ablation, grid point)``,
-so they fan out over a process pool (``workers``) and the report is
-byte-identical at any worker count.  The JSONL report (schema
+so they fan out over a process pool (``workers > 1``, through
+:func:`~repro.pim.parallel.fan_out`) and the report is byte-identical at
+any worker count.  The JSONL report (schema
 ``repro.qa.campaign/v1``) carries per-cell metrics plus deltas versus
 the all-on baseline cell *at the same grid point*;
 :func:`validate_campaign_report` recomputes every derived figure —
@@ -47,8 +48,6 @@ import json
 import math
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -57,6 +56,7 @@ from repro.core.penalties import AffinePenalties, Penalties
 from repro.data.generator import ReadPair
 from repro.errors import CigarError, ConfigError, DegradedCapacity, QaError
 from repro.pim.ablation import STANDARD_ABLATIONS, AblationConfig
+from repro.pim.parallel import fan_out
 from repro.pim.faults import (
     DpuDeath,
     FaultPlan,
@@ -971,27 +971,13 @@ def _cell_metrics(
     tasks: list[CellTask], reused: dict[str, dict], workers: int
 ) -> Iterator[tuple[CellTask, dict]]:
     """Yield ``(task, metrics)`` in canonical order, computing missing
-    cells sequentially or over a process pool."""
-    todo = [task for task in tasks if task.name not in reused]
-    computed: dict[str, dict] = {}
-    if workers > 1 and len(todo) > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo))
-            ) as pool:
-                for task, metrics in zip(todo, pool.map(run_cell, todo)):
-                    computed[task.name] = metrics
-        except (OSError, BrokenProcessPool):
-            # pool infrastructure failure: the sequential path is
-            # byte-identical (same discipline as repro.pim.fleet)
-            computed.clear()
+    cells through :func:`~repro.pim.parallel.fan_out` (inline and one at
+    a time for ``workers <= 1``)."""
+    computed = fan_out(
+        run_cell, [task for task in tasks if task.name not in reused], workers
+    )
     for task in tasks:
-        if task.name in reused:
-            yield task, reused[task.name]
-        elif task.name in computed:
-            yield task, computed[task.name]
-        else:
-            yield task, run_cell(task)
+        yield task, reused[task.name] if task.name in reused else next(computed)
 
 
 def run_campaign(
@@ -1003,12 +989,14 @@ def run_campaign(
 ) -> CampaignReport:
     """Run every cell of a campaign; see the module docstring.
 
-    ``workers > 1`` fans cells out over a process pool (cells are pure
-    functions of their task, so the report is byte-identical at any
-    worker count).  With ``resume=True`` and an existing ``report_path``,
-    completed cells are salvaged from the (possibly torn) file and only
-    the missing ones run; the rewritten report is byte-identical to an
-    uninterrupted run's.
+    ``workers > 1`` fans cells out over a process pool; ``0`` (the
+    default) and ``1`` run them inline, writing each cell's record before
+    the next cell starts.  Cells are pure functions of their task, so
+    the report is byte-identical at any worker count.  With
+    ``resume=True`` and an existing ``report_path``, completed cells are
+    salvaged from the (possibly torn) file and only the missing ones
+    run; the rewritten report is byte-identical to an uninterrupted
+    run's.
 
     When ``telemetry`` (a :class:`~repro.obs.telemetry.RunTelemetry`) is
     given, one ``campaign_cell`` event per cell and a closing

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import warnings
 
 import pytest
@@ -20,6 +21,7 @@ from repro.pim.journal import (
     result_from_dict,
     result_to_dict,
     workload_fingerprint,
+    write_atomic,
 )
 from repro.pim.scheduler import BatchScheduler
 from repro.pim.system import PimSystem
@@ -234,6 +236,60 @@ class TestRunJournalFile:
         doctored["size"] = 999
         journal._records.append(doctored)
         assert journal.rounds()[0]["size"] == 4
+
+
+class TestDurableWrites:
+    """The one atomic writer syncs the temp file before the rename and the
+    directory after it, for journals and fleet manifests alike."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        real_fsync = os.fsync
+        inodes: list[int] = []
+
+        def recording_fsync(fd):
+            inodes.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return inodes
+
+    def test_journal_append_syncs_file_and_directory(self, tmp_path, synced):
+        path = tmp_path / "run.jsonl"
+        journal = RunJournal.create(
+            path, workload_fingerprint(workload(4), 4, NUM_DPUS, 4, "mram", True)
+        )
+        run = small_system().align(workload(4), collect_results=True)
+        synced.clear()
+        journal.append_round(0, 0, 4, run)
+        assert synced == [os.stat(path).st_ino, os.stat(tmp_path).st_ino]
+
+    def test_fleet_manifest_syncs_file_and_directory(self, tmp_path, synced):
+        from repro.pim.fleet import MANIFEST_NAME, FleetCoordinator
+
+        fleet = FleetCoordinator(small_system().config, small_system().kernel_config)
+        journal_dir = tmp_path / "fleet"
+        fleet.run(workload(8), pairs_per_round=4, journal=journal_dir)
+        # the manifest is written before any shard journal
+        assert synced[:2] == [
+            os.stat(journal_dir / MANIFEST_NAME).st_ino,
+            os.stat(journal_dir).st_ino,
+        ]
+
+    def test_failed_write_leaves_the_old_file_and_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "doc.txt"
+        write_atomic(path, "old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.txt"]
 
 
 def truncate_after(path, k: int) -> None:

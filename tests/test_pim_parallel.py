@@ -17,11 +17,13 @@ from repro.data.generator import ReadPairGenerator
 from repro.errors import ConfigError
 from repro.pim import parallel as parallel_mod
 from repro.pim.config import PimSystemConfig
+from repro.pim.faults import DpuDeath, FaultPlan
 from repro.pim.kernel import KernelConfig
 from repro.pim.parallel import (
     DpuJob,
     GeneratorSpec,
     execute_jobs,
+    fan_out,
     resolve_workers,
     run_dpu_job,
 )
@@ -265,3 +267,193 @@ class TestEngine:
         records = execute_jobs(jobs, workers=3)
         assert [r.dpu_id for r in records] == [0, 1, 2]
         assert all(r.num_pairs == 4 for r in records)
+
+    def test_job_num_pairs_does_not_draw_the_sample(self, monkeypatch):
+        def no_draw(self):
+            raise AssertionError("num_pairs must not generate pairs")
+
+        monkeypatch.setattr(GeneratorSpec, "pairs", no_draw)
+        gen = GeneratorSpec(
+            length=50, error_rate=0.02, seed=1, error_model="exact", count=6
+        )
+        system = make_system()
+        job = system._make_job(1, system.plan_layout(6), generator=gen)
+        assert job.num_pairs == 6
+        assert self._job().num_pairs == 4
+
+    def test_generator_job_draws_its_sample_once_per_attempt(self, monkeypatch):
+        """A fault-tolerant model_run draws each DPU's sample exactly once
+        per attempt — never again just to count it."""
+        draws = []
+        real_pairs = GeneratorSpec.pairs
+
+        def counting_pairs(self):
+            draws.append(self.seed)
+            return real_pairs(self)
+
+        monkeypatch.setattr(GeneratorSpec, "pairs", counting_pairs)
+        spec = DatasetSpec(num_pairs=64, length=50, error_rate=0.02, seed=5)
+        run = make_system().model_run(
+            spec,
+            sample_pairs_per_dpu=4,
+            fault_plan=FaultPlan(deaths=(DpuDeath(dpu_id=1),)),
+        )
+        attempts = [record.attempts for record in run.recovery.records]
+        assert sum(attempts) > len(attempts)  # the death forced retries
+        assert len(draws) == sum(attempts)
+
+
+class TestFanOut:
+    @pytest.fixture
+    def pools_built(self, monkeypatch):
+        """Replace the process pool with one that records its width and
+        then fails to start, as in sandboxes that forbid subprocesses."""
+        built = []
+
+        class ExplodingPool:
+            def __init__(self, max_workers=None):
+                built.append(max_workers)
+                raise OSError("fork forbidden")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", ExplodingPool)
+        return built
+
+    def test_yields_in_item_order(self):
+        assert list(fan_out(abs, [-3, 1, -2], 1)) == [3, 1, 2]
+        assert list(fan_out(abs, [-3, 1, -2], 2)) == [3, 1, 2]
+        assert list(fan_out(abs, [], 4)) == []
+
+    def test_inline_path_is_lazy(self):
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return x
+
+        results = fan_out(record, [1, 2, 3], 1)
+        assert calls == []
+        assert next(results) == 1
+        assert calls == [1]  # the next item waits for the next request
+
+    def test_pool_width_capped_at_items(self, pools_built):
+        assert list(fan_out(abs, [-1, -2, -3], 8)) == [1, 2, 3]
+        assert pools_built == [3]
+
+    def test_one_item_or_one_worker_never_builds_a_pool(self, pools_built):
+        assert list(fan_out(abs, [-1], 8)) == [1]
+        assert list(fan_out(abs, [-1, -2], 1)) == [1, 2]
+        assert list(fan_out(abs, [-1, -2], 0)) == [1, 2]
+        assert pools_built == []
+
+    def test_broken_pool_reruns_every_item_inline(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreakingPool:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                yield fn(items[0])
+                raise BrokenProcessPool("worker killed")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", BreakingPool)
+        assert list(fan_out(abs, [-1, -2, -3], 2)) == [1, 2, 3]
+
+    @pytest.mark.filterwarnings("ignore::repro.errors.DegradedCapacity")
+    def test_fleet_shards_go_through_the_one_fan_out(self, pools_built):
+        """A pool failure under shard_workers=2 reruns every shard inline
+        through run_fleet_shard; health, metrics and events federate to
+        exactly what the inline fleet produces."""
+        from repro.obs.telemetry import RunTelemetry
+        from repro.pim.fleet import FleetCoordinator
+        from repro.pim.health import HealthPolicy
+        from repro.pim.journal import result_to_dict
+
+        pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=11).pairs(24)
+
+        def observe(shard_workers):
+            fleet = FleetCoordinator(
+                make_system().config,
+                make_system().kernel_config,
+                shards=2,
+                shard_workers=shard_workers,
+                health_policy=HealthPolicy(),
+                telemetry=RunTelemetry(),
+            )
+            run = fleet.run(
+                pairs,
+                pairs_per_round=4,
+                collect_results=True,
+                fault_plan=FaultPlan(deaths=(DpuDeath(dpu_id=1),)),
+            )
+            return (
+                [result_to_dict(r) for r in run.per_round],
+                run.recovery.to_dict(),
+                fleet.health_doc(),
+                fleet.metrics_snapshot(),
+                fleet.event_records(),
+            )
+
+        inline = observe(1)
+        assert pools_built == []
+        fanned = observe(2)
+        assert pools_built == [2]
+        assert fanned == inline
+
+    def test_campaign_cells_go_through_the_one_fan_out(self, pools_built, tmp_path):
+        from repro.pim.ablation import AblationConfig
+        from repro.qa.campaign import CampaignConfig, FaultGridPoint, run_campaign
+
+        config = CampaignConfig(
+            pairs=8,
+            pairs_per_round=4,
+            serve_requests=0,
+            ablations=(
+                AblationConfig(name="baseline"),
+                AblationConfig(name="requeue_off", requeue=False),
+            ),
+            grid=(FaultGridPoint(name="dead_dpu", dead_dpus=1),),
+        )
+        run_campaign(config, workers=1, report_path=tmp_path / "inline.jsonl")
+        assert pools_built == []
+        run_campaign(config, workers=2, report_path=tmp_path / "fanned.jsonl")
+        assert pools_built == [2]
+        assert (tmp_path / "fanned.jsonl").read_bytes() == (
+            tmp_path / "inline.jsonl"
+        ).read_bytes()
+
+    def test_inline_campaign_writes_each_cell_before_the_next(
+        self, tmp_path, monkeypatch
+    ):
+        """The crash-resume contract: a cell's record is on disk before
+        the next cell starts computing."""
+        from repro.pim.ablation import AblationConfig
+        from repro.qa import campaign as campaign_mod
+
+        config = campaign_mod.CampaignConfig(
+            pairs=8,
+            pairs_per_round=4,
+            serve_requests=0,
+            ablations=(
+                AblationConfig(name="baseline"),
+                AblationConfig(name="requeue_off", requeue=False),
+            ),
+            grid=(campaign_mod.FaultGridPoint(name="calm"),),
+        )
+        path = tmp_path / "report.jsonl"
+        lines_at_start = []
+        real_run_cell = campaign_mod.run_cell
+
+        def observed_run_cell(task):
+            lines_at_start.append(len(path.read_text().splitlines()))
+            return real_run_cell(task)
+
+        monkeypatch.setattr(campaign_mod, "run_cell", observed_run_cell)
+        campaign_mod.run_campaign(config, workers=0, report_path=path)
+        assert lines_at_start == [1, 2]  # header, then header + first cell

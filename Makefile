@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test test-fast qa campaign coverage bench bench-parallel bench-vector bench-ledger perf-gate perfbench examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo clean
+.PHONY: install test test-fast qa campaign coverage bench bench-parallel bench-vector bench-ledger perf-gate perfbench examples fig1 outputs trace-demo serve-demo chaos chaos-net fleet-demo demo-digest clean
 
 install:
 	pip install -e .
@@ -281,6 +281,17 @@ fleet-demo:
 		print(f\"fleet OK: {m['schema']} manifest, {m['shards']} shards, \" \
 		      f\"{len(m['placements'])} rounds resumed byte-identically, \" \
 		      f\"load report valid ({s['completed']} completed)\")"
+
+# Byte-identity check across checkouts: run every demo drill into a
+# fresh out/ and print one sha256 per file, sorted by path.  Run it in
+# two checkouts and `diff` the outputs; the drills log to out/drills.log.
+demo-digest:
+	@rm -rf out
+	@mkdir -p out
+	@$(MAKE) --no-print-directory trace-demo serve-demo chaos chaos-net \
+		fleet-demo > out/drills.log 2>&1 || (cat out/drills.log; exit 1)
+	@rm out/drills.log
+	@cd out && find . -type f | LC_ALL=C sort | xargs sha256sum
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/out out build src/*.egg-info

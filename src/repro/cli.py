@@ -71,22 +71,75 @@ def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gap-extend2", type=int, default=1)
 
 
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
-    """Service-construction flags shared by ``serve`` and ``loadgen``."""
-    parser.add_argument("--dpus", type=int, default=4)
-    parser.add_argument("--tasklets", type=int, default=4)
+def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
-                        help="host processes per round (1 = sequential, "
-                             "0 = one per core; responses are identical)")
-    parser.add_argument("--max-read-len", type=int, default=100)
-    parser.add_argument("--max-edits", type=int, default=4)
+                        help="host processes simulating DPUs in parallel "
+                             "(1 = sequential, 0 = one per CPU core; "
+                             "results are identical either way)")
+
+
+def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("scalar", "vector"),
                         default="vector",
                         help="host alignment engine (default: 'vector', "
                              "which batches each DPU's pairs through the "
                              "NumPy engine for simulation speed; 'scalar' "
-                             "is the per-pair escape hatch; responses are "
-                             "identical)")
+                             "is the per-pair escape hatch; results, "
+                             "counters and traces are identical)")
+
+
+def _add_device_fault_args(parser: argparse.ArgumentParser) -> None:
+    """``--kill-dpu``/``--stall-dpu``/``--breaker`` (read by
+    :func:`_fault_plan_from_args`); the plan applies to every round."""
+    parser.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
+                        help="inject a permanent death of this DPU (dead on "
+                             "every attempt of every round; recovery "
+                             "requeues its pairs onto spares); with "
+                             "--shards > 1 the id indexes the federated "
+                             "fleet")
+    parser.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
+                        help="inject a first-attempt tasklet stall on this "
+                             "DPU in every round (detected by the modeled "
+                             "launch watchdog)")
+    parser.add_argument("--breaker", action="store_true",
+                        help="enable the fleet-health ledger: per-DPU "
+                             "circuit breakers quarantine repeat offenders "
+                             "out of later rounds instead of burning "
+                             "retries")
+
+
+def _add_network_args(parser: argparse.ArgumentParser) -> None:
+    """``--shards`` and the modeled coordinator<->shard network (read by
+    :func:`_parse_net_plan`)."""
+    parser.add_argument("--shards", type=int, default=1, metavar="N",
+                        help="federate N identical PIM shards (--dpus is "
+                             "per shard); rounds stripe across shards with "
+                             "health-aware rebalancing and results stay "
+                             "byte-identical to --shards 1")
+    parser.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
+                        help="with --shards > 1: seeded NetworkFaultPlan for "
+                             "the coordinator<->shard links, as inline JSON "
+                             "or @path-to-json (keys: seed, drops, "
+                             "duplicates, delays, reorders, partitions); "
+                             "rounds travel as idempotent envelopes with "
+                             "at-least-once redelivery")
+    parser.add_argument("--link-timeout", type=float, default=None, metavar="S",
+                        help="modeled per-link delivery timeout before "
+                             "retransmission (default 0.002)")
+    parser.add_argument("--hedge", action="store_true",
+                        help="hedged re-dispatch: steal a timed-out "
+                             "in-flight round onto the next healthy shard "
+                             "instead of only retrying the link")
+
+
+def _add_serve_args(parser: argparse.ArgumentParser) -> None:
+    """Service-construction flags shared by ``serve`` and ``loadgen``."""
+    parser.add_argument("--dpus", type=int, default=4)
+    parser.add_argument("--tasklets", type=int, default=4)
+    _add_workers_arg(parser)
+    parser.add_argument("--max-read-len", type=int, default=100)
+    parser.add_argument("--max-edits", type=int, default=4)
+    _add_engine_arg(parser)
     parser.add_argument("--max-batch-pairs", type=int, default=64,
                         help="flush the micro-batcher at this many pairs")
     parser.add_argument("--max-wait", type=float, default=1e-3, metavar="S",
@@ -103,39 +156,13 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", type=int, default=0, metavar="N",
                         help="result-cache capacity in entries (0 = off)")
     parser.add_argument("--cache-policy", choices=("lru", "lfu"), default="lru")
-    parser.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
-                        help="inject a first-attempt death of this DPU into "
-                             "every batch (recovery must stay lossless)")
-    parser.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
-                        help="inject a first-attempt tasklet stall on this "
-                             "DPU into every batch (watchdog-detected)")
-    parser.add_argument("--breaker", action="store_true",
-                        help="enable the fleet-health ledger: per-DPU "
-                             "circuit breakers quarantine repeat offenders "
-                             "out of scheduler rounds")
+    _add_device_fault_args(parser)
     parser.add_argument("--fallback-threshold", type=float, default=None,
                         metavar="F",
                         help="with --breaker: route whole batches to the "
                              "CPU Gotoh baseline while healthy capacity "
                              "sits below this fraction (0 < F <= 1)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="federate N identical PIM shards behind the "
-                             "service (--dpus is per shard); batches "
-                             "round-stripe across shards with health-aware "
-                             "rebalancing and responses stay byte-identical "
-                             "to --shards 1")
-    parser.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
-                        help="with --shards > 1: seeded NetworkFaultPlan for "
-                             "the coordinator<->shard links, as inline JSON "
-                             "or @path-to-json (keys: seed, drops, "
-                             "duplicates, delays, reorders, partitions)")
-    parser.add_argument("--link-timeout", type=float, default=None, metavar="S",
-                        help="modeled per-link delivery timeout before "
-                             "retransmission (default 0.002)")
-    parser.add_argument("--hedge", action="store_true",
-                        help="hedged re-dispatch: steal a timed-out "
-                             "in-flight round onto the next healthy shard "
-                             "instead of only retrying the link")
+    _add_network_args(parser)
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write service metrics: Prometheus text for "
                              ".prom/.txt, JSON otherwise")
@@ -285,17 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     pim.add_argument("--policy", choices=("mram", "wram"), default="mram")
     pim.add_argument("--max-edits", type=int, default=None,
                      help="kernel edit budget (default: inferred from data)")
-    pim.add_argument("--engine", choices=("scalar", "vector"),
-                     default="vector",
-                     help="host alignment engine (default: 'vector', which "
-                          "batches each DPU's pairs through the NumPy "
-                          "engine for simulation speed; 'scalar' is the "
-                          "per-pair escape hatch; results, counters and "
-                          "traces are identical)")
-    pim.add_argument("--workers", type=int, default=1,
-                     help="host processes simulating DPUs in parallel "
-                          "(1 = sequential, 0 = one per CPU core; "
-                          "results are identical either way)")
+    _add_engine_arg(pim)
+    _add_workers_arg(pim)
     pim.add_argument("--metrics-out", metavar="PATH", default=None,
                      help="write run metrics: Prometheus text for "
                           ".prom/.txt, JSONL run manifest for .jsonl, "
@@ -308,44 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
                           "multi-round runs can be journaled and resumed")
     pim.add_argument("--journal", metavar="PATH", default=None,
                      help="append each completed scheduler round to this "
-                          "write-ahead journal (repro.pim.journal/v1)")
+                          "write-ahead journal (repro.pim.journal/v1); "
+                          "with --shards > 1 a directory of per-shard "
+                          "journals plus a manifest")
     pim.add_argument("--resume", action="store_true",
                      help="resume an interrupted run from --journal: "
                           "journaled rounds replay idempotently, only the "
                           "remainder executes")
-    pim.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
-                     help="inject a permanent death of this DPU (recovery "
-                          "requeues its pairs onto spares)")
-    pim.add_argument("--stall-dpu", type=int, default=None, metavar="ID",
-                     help="inject a first-attempt tasklet stall on this DPU "
-                          "(detected by the modeled launch watchdog)")
-    pim.add_argument("--breaker", action="store_true",
-                     help="enable per-DPU circuit breakers: repeat "
-                          "offenders are quarantined out of later rounds "
-                          "instead of burning retries")
-    pim.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="federate N identical PIM shards (--dpus is per "
-                          "shard); rounds stripe across shards, --kill-dpu/"
-                          "--stall-dpu ids index the federated fleet, "
-                          "--journal becomes a directory (per-shard "
-                          "journals + manifest), and results stay "
-                          "byte-identical to --shards 1")
+    _add_device_fault_args(pim)
+    _add_network_args(pim)
     pim.add_argument("--shard-workers", type=int, default=1, metavar="N",
                      help="host processes running shards in parallel "
                           "(0/1 = inline; health-ledger deltas ride home "
                           "in each shard's outcome, so --breaker composes; "
                           "results are identical either way)")
-    pim.add_argument("--net-plan", metavar="JSON|@FILE", default=None,
-                     help="with --shards > 1: seeded NetworkFaultPlan for "
-                          "the coordinator<->shard links, as inline JSON or "
-                          "@path-to-json; rounds travel as idempotent "
-                          "envelopes with at-least-once redelivery")
-    pim.add_argument("--link-timeout", type=float, default=None, metavar="S",
-                     help="modeled per-link delivery timeout before "
-                          "retransmission (default 0.002)")
-    pim.add_argument("--hedge", action="store_true",
-                     help="hedged re-dispatch: steal a timed-out in-flight "
-                          "round onto the next healthy shard")
     pim.add_argument("-o", "--output", default=None, metavar="PATH",
                      help="write gathered alignments as TSV "
                           "(index<TAB>score<TAB>cigar); forces result "
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--max-edits", type=int, default=4)
     qa.add_argument("--dpus", type=int, default=4)
     qa.add_argument("--tasklets", type=int, default=4)
-    qa.add_argument("--workers", type=int, default=1)
+    _add_workers_arg(qa)
     qa.add_argument("--shards", type=int, default=1,
                     help="run the sweep through a round-striped fleet of "
                          "this many shards (--dpus DPUs each; default: 1 "
@@ -400,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--no-shrink", action="store_true",
                     help="skip minimizing failing cases")
     qa.add_argument("--kill-dpu", type=int, default=None, metavar="ID",
-                    help="also run under a fault plan that kills this DPU "
-                         "on its first attempt (recovery must still agree)")
+                    help="also run under a fault plan (seeded by --seed) "
+                         "that kills this DPU on every attempt; recovery "
+                         "requeues its pairs and must still agree")
     qa.add_argument("--report", metavar="PATH", default=None,
                     help="write the JSONL report here")
 

@@ -200,17 +200,18 @@ def host_parallel(profile: str) -> ScenarioResult:
         seed=config["seed"],
     ).pairs(config["pairs"])
 
+    base = _system(
+        config["num_dpus"],
+        config["tasklets"],
+        config["length"],
+        config["max_edits"],
+    )
     baseline = None
     walls = {}
     for workers in config["worker_counts"]:
-        system = _system(
-            config["num_dpus"],
-            config["tasklets"],
-            config["length"],
-            config["max_edits"],
-        )
+        system = PimSystem(base.config.with_(workers=workers), base.kernel_config)
         t0 = time.perf_counter()
-        run = system.align(pairs, collect_results=True, workers=workers)
+        run = system.align(pairs, collect_results=True)
         walls[str(workers)] = time.perf_counter() - t0
         if baseline is None:
             baseline = run

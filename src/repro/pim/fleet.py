@@ -90,6 +90,7 @@ from repro.pim.kernel import KernelConfig
 from repro.pim.parallel import fan_out
 from repro.pim.scheduler import BatchSchedule, BatchScheduler, ScheduledRun
 from repro.pim.system import PimRunResult, PimSystem
+from repro.pim.transfer import TransferStats
 from repro.pim.transport import (
     NetworkFaultPlan,
     ShardTransport,
@@ -175,7 +176,6 @@ class ShardTask:
     config: "PimSystemConfig"
     kernel_config: KernelConfig
     overlapped: bool
-    workers: Optional[int]
     pairs: tuple[ReadPair, ...]
     pairs_per_round: int
     collect_results: bool
@@ -208,6 +208,9 @@ class ShardOutcome:
     #: :meth:`~repro.pim.health.FleetHealth.export_state` delta the
     #: coordinator imports into its persistent shard ledger
     health_state: Optional[dict] = None
+    #: the fresh system's transfer accounting, merged into the
+    #: coordinator's persistent shard system
+    transfer_stats: TransferStats = field(default_factory=TransferStats)
 
 
 def _run_shard(
@@ -246,9 +249,7 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
 
         telemetry = RunTelemetry()
     system = PimSystem(task.config, task.kernel_config, telemetry=telemetry)
-    scheduler = BatchScheduler(
-        system, overlapped=task.overlapped, workers=task.workers
-    )
+    scheduler = BatchScheduler(system, overlapped=task.overlapped)
     health = None
     if task.health_policy is not None:
         from repro.pim.health import FleetHealth
@@ -271,6 +272,7 @@ def run_fleet_shard(task: ShardTask) -> ShardOutcome:
             else None
         ),
         health_state=health.export_state() if health is not None else None,
+        transfer_stats=system.transfer.stats,
     )
 
 
@@ -420,7 +422,6 @@ class FleetCoordinator:
         shards: int = 1,
         *,
         overlapped: bool = False,
-        workers: Optional[int] = None,
         shard_workers: int = 1,
         health_policy: Optional["HealthPolicy"] = None,
         min_shard_healthy_fraction: float = 0.5,
@@ -445,7 +446,6 @@ class FleetCoordinator:
         self.shards = shards
         self.config = config
         self.overlapped = overlapped
-        self.workers = workers
         self.shard_workers = shard_workers
         self.health_policy = health_policy
         self.min_shard_healthy_fraction = min_shard_healthy_fraction
@@ -467,9 +467,7 @@ class FleetCoordinator:
             system = PimSystem(config, kernel_config, telemetry=shard_tel)
             self.shard_telemetries.append(shard_tel)
             self.systems.append(system)
-            self.schedulers.append(
-                BatchScheduler(system, overlapped=overlapped, workers=workers)
-            )
+            self.schedulers.append(BatchScheduler(system, overlapped=overlapped))
             health = None
             if health_policy is not None:
                 from repro.pim.health import FleetHealth
@@ -739,7 +737,6 @@ class FleetCoordinator:
                     config=self.config,
                     kernel_config=self.systems[k].kernel_config,
                     overlapped=self.overlapped,
-                    workers=self.workers,
                     pairs=shard_pairs,
                     pairs_per_round=schedule.pairs_per_round,
                     collect_results=collect_results,
@@ -804,10 +801,13 @@ class FleetCoordinator:
 
     def _absorb(self, outcomes: Iterable[ShardOutcome]) -> dict[int, ScheduledRun]:
         """Fold fresh-system shard outcomes home: import each worker's
-        health end state and merge its telemetry deltas."""
+        health end state and merge its transfer and telemetry deltas."""
         shard_runs: dict[int, ScheduledRun] = {}
         for outcome in outcomes:
             shard_runs[outcome.shard_id] = outcome.run
+            self.systems[outcome.shard_id].transfer.stats.merge(
+                outcome.transfer_stats
+            )
             if outcome.health_state is not None:
                 health = self.shard_healths[outcome.shard_id]
                 if health is not None:

@@ -24,11 +24,12 @@ fault plan, retry policy, health policy).  Each subsequent line is one
 ``{"type": "round", "index": k, "start": ..., "size": ..., "result": ...}``
 record carrying a fully serialized :class:`~repro.pim.system.PimRunResult`
 (floats round-trip exactly through JSON's shortest-repr encoding, so
-replayed timings are bit-equal).  Appends are atomic at record
-granularity: the journal rewrites to a temp file in the same directory,
-fsyncs it and renames it over the old one (:func:`write_atomic`), so a
-crash leaves either the old or the new journal, never a torn line — and
-a torn final line from some other writer is tolerated (ignored) at load.
+replayed timings are bit-equal).  The header is written atomically
+(:func:`write_atomic`); each round is then appended as one line and
+fsynced, file then directory, before the next round starts.  A crash
+mid-append leaves at most a torn final line, which load drops; the
+first append after such a load rewrites the file once, atomically, so
+the torn bytes never stay in front of a new record.
 
 Resume refuses to mix workloads: a journal whose fingerprint does not
 match the offered workload/configuration raises
@@ -219,7 +220,12 @@ def write_atomic(path: Union[str, Path], text: str) -> None:
         except OSError:
             pass
         raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
+    _fsync_dir(path.parent)
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make a directory entry change (a rename, a file's growth) durable."""
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)
     finally:
@@ -229,18 +235,23 @@ def write_atomic(path: Union[str, Path], text: str) -> None:
 class RunJournal:
     """One run's JSONL journal: a header line plus per-round records.
 
-    The whole journal is kept in memory (a run has at most a few dozen
-    rounds) and rewritten atomically on every append
-    (:func:`write_atomic`).  Loading tolerates a torn trailing line
-    (dropped with the partial round it described) but raises
-    :class:`~repro.errors.JournalError` for a missing/foreign header or
-    records that do not parse.
+    The records are also kept in memory.  Each append adds one line to
+    the file; whenever the file on disk is not exactly the header and
+    records in their canonical form (a fresh object, or a load that
+    dropped a torn line), the next append instead rewrites the whole
+    journal atomically (:func:`write_atomic`).  Loading tolerates a torn
+    trailing line (dropped with the partial round it described) but
+    raises :class:`~repro.errors.JournalError` for a missing/foreign
+    header or records that do not parse.
     """
 
     def __init__(self, path: Union[str, Path], header: dict) -> None:
         self.path = Path(path)
         self.header = header
         self._records: list[dict] = []
+        #: whether the file holds exactly :meth:`_text`, so an append
+        #: may extend it in place
+        self._in_sync = False
 
     # -- constructors -----------------------------------------------------
 
@@ -256,7 +267,10 @@ class RunJournal:
         """Load an existing journal, dropping a torn trailing line."""
         path = Path(path)
         try:
-            text = path.read_text()
+            # newline="" keeps any "\r" visible, so a file that is not
+            # in canonical form is rewritten on the next append
+            with open(path, encoding="utf-8", newline="") as handle:
+                text = handle.read()
         except OSError as exc:
             raise JournalError(f"cannot read journal {path}: {exc}") from exc
         lines = text.splitlines()
@@ -286,6 +300,7 @@ class RunJournal:
                     f"journal {path}: unexpected record at line {n}"
                 )
             journal._records.append(record)
+        journal._in_sync = text == journal._text()
         return journal
 
     # -- contents ---------------------------------------------------------
@@ -311,17 +326,23 @@ class RunJournal:
     def append_round(
         self, index: int, start: int, size: int, result: PimRunResult
     ) -> None:
-        """Durably record one completed round (atomic rewrite)."""
-        self._records.append(
-            {
-                "type": "round",
-                "index": index,
-                "start": start,
-                "size": size,
-                "result": result_to_dict(result),
-            }
-        )
-        self._write()
+        """Durably record one completed round (fsynced before return)."""
+        record = {
+            "type": "round",
+            "index": index,
+            "start": start,
+            "size": size,
+            "result": result_to_dict(result),
+        }
+        self._records.append(record)
+        if not self._in_sync:
+            self._write()
+            return
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        _fsync_dir(self.path.parent)
 
     def validate_fingerprint(self, expected: dict) -> None:
         """Refuse to resume against a different workload/configuration."""
@@ -338,7 +359,11 @@ class RunJournal:
 
     # -- disk -------------------------------------------------------------
 
-    def _write(self) -> None:
+    def _text(self) -> str:
         lines = [json.dumps(self.header, sort_keys=True)]
         lines += [json.dumps(r, sort_keys=True) for r in self._records]
-        write_atomic(self.path, "\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    def _write(self) -> None:
+        write_atomic(self.path, self._text())
+        self._in_sync = True

@@ -123,16 +123,9 @@ class ScheduledRun:
 class BatchScheduler:
     """Runs workloads through a :class:`PimSystem` in MRAM-sized rounds."""
 
-    def __init__(
-        self,
-        system: PimSystem,
-        overlapped: bool = False,
-        workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, system: PimSystem, overlapped: bool = False) -> None:
         self.system = system
         self.overlapped = overlapped
-        #: host worker processes per round (None = the system's config).
-        self.workers = workers
 
     def max_pairs_per_round(self, mram_budget_fraction: float = 0.9) -> int:
         """Pairs per DPU batch that fit the MRAM input+output regions."""
@@ -181,18 +174,9 @@ class BatchScheduler:
         """Journal fingerprint of this run's outcome-determining inputs."""
         from repro.pim.journal import workload_fingerprint
 
-        plan = fault_plan if fault_plan is not None else self.system.fault_plan
         policy: Optional[RetryPolicy] = None
-        if plan is not None:
-            policy = (
-                retry_policy
-                if retry_policy is not None
-                else (
-                    self.system.retry_policy
-                    if self.system.retry_policy is not None
-                    else RetryPolicy()
-                )
-            )
+        if fault_plan is not None:
+            policy = retry_policy if retry_policy is not None else RetryPolicy()
         return workload_fingerprint(
             pairs,
             schedule.pairs_per_round,
@@ -200,7 +184,7 @@ class BatchScheduler:
             self.system.config.tasklets,
             self.system.config.metadata_policy,
             collect_results,
-            fault_plan=plan,
+            fault_plan=fault_plan,
             retry_policy=policy,
             health_policy=health.policy if health is not None else None,
         )
@@ -226,10 +210,9 @@ class BatchScheduler:
         schedule — the overlapped aggregate stays available via
         :attr:`ScheduledRun.total_seconds`).
 
-        With a ``fault_plan`` (or one configured on the system), each
-        round runs fault-tolerantly and the per-round recovery reports
-        are folded — pair indices rebased to the whole workload — into
-        :attr:`ScheduledRun.recovery`.
+        With a ``fault_plan``, each round runs fault-tolerantly and the
+        per-round recovery reports are folded — pair indices rebased to
+        the whole workload — into :attr:`ScheduledRun.recovery`.
 
         With a ``health`` ledger (:class:`~repro.pim.health.FleetHealth`),
         each round is placed only on DPUs the ledger allows — breaker-open
@@ -243,7 +226,7 @@ class BatchScheduler:
         With a ``journal`` (a path starts a fresh
         ``repro.pim.journal/v1`` file; an open
         :class:`~repro.pim.journal.RunJournal` continues one), every
-        completed round is appended atomically before the next begins.
+        completed round is appended and fsynced before the next begins.
         ``replay`` maps round indices to already-completed results
         (resume path — see :meth:`resume_run`): replayed rounds skip
         device work entirely but still feed the health ledger and the
@@ -307,7 +290,6 @@ class BatchScheduler:
                     result = self.system.align(
                         chunk,
                         collect_results=collect_results,
-                        workers=self.workers,
                         fault_plan=fault_plan,
                         retry_policy=retry_policy,
                         active_dpus=active,

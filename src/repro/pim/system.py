@@ -154,8 +154,6 @@ class PimSystem:
         config: PimSystemConfig,
         kernel_config: Optional[KernelConfig] = None,
         telemetry: Optional["RunTelemetry"] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         config.validate()
         self.config = config
@@ -166,13 +164,6 @@ class PimSystem:
         #: attached, every run collects kernel traces and worker metric
         #: snapshots and lays its sections on the model timeline.
         self.telemetry = telemetry
-        #: optional :class:`~repro.pim.faults.FaultPlan` every run
-        #: executes under; jobs then verify gathered results end to end
-        #: and route through the recovery layer.
-        self.fault_plan = fault_plan
-        #: recovery policy for fault-tolerant runs (defaults applied when
-        #: a plan is present and no policy was given).
-        self.retry_policy = retry_policy
         self.kernel = WfaDpuKernel(self.kernel_config)
         self.transfer = HostTransferEngine(
             config.transfer,
@@ -296,7 +287,6 @@ class PimSystem:
     def _run_jobs(
         self,
         jobs: list[DpuJob],
-        workers: Optional[int],
         kind: str,
         fault_plan: Optional[FaultPlan],
         retry_policy: Optional[RetryPolicy],
@@ -309,7 +299,7 @@ class PimSystem:
         contract (over ``num_slots`` logical slots) and its counters land
         in the attached telemetry registry.
         """
-        n = self.config.workers if workers is None else workers
+        n = self.config.workers
         span = (
             self.telemetry.profiler.span(
                 "host_execute", kind=kind, jobs=len(jobs), workers=n
@@ -320,11 +310,7 @@ class PimSystem:
         with span:
             if fault_plan is None:
                 return execute_jobs(jobs, n), None
-            records, report = execute_jobs_resilient(
-                jobs,
-                n,
-                retry_policy if retry_policy is not None else self.retry_policy,
-            )
+            records, report = execute_jobs_resilient(jobs, n, retry_policy)
         assign_pairs(
             report,
             num_slots if num_slots is not None else self.config.num_dpus,
@@ -368,7 +354,6 @@ class PimSystem:
         pairs: list[ReadPair],
         collect_results: bool = True,
         verify: bool = False,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         active_dpus: Optional[tuple[int, ...]] = None,
@@ -381,9 +366,7 @@ class PimSystem:
         :class:`~repro.errors.KernelError` on any inconsistency) — the
         simulated-hardware analogue of WFA's verification mode.
 
-        ``workers`` overrides ``config.workers`` for this run;
-        ``fault_plan``/``retry_policy`` override the system-level ones.
-        A run under a fault plan verifies every gathered record in the
+        A run under a ``fault_plan`` verifies every gathered record in the
         worker, recovers per the policy (retry, backoff, requeue onto
         healthy DPUs), and attaches a
         :class:`~repro.pim.faults.RecoveryReport` as ``result.recovery``.
@@ -402,7 +385,6 @@ class PimSystem:
         batches = [pairs[s::num_slots] for s in range(min(num_slots, max(n, 1)))]
         max_batch = max((len(b) for b in batches), default=0)
         layout = self.plan_layout(max(max_batch, 1))
-        plan = fault_plan if fault_plan is not None else self.fault_plan
 
         pull = collect_results or verify
         jobs = [
@@ -411,7 +393,7 @@ class PimSystem:
                 layout,
                 pairs=tuple(batch),
                 pull=pull,
-                fault_plan=plan,
+                fault_plan=fault_plan,
                 physical=None if active is None else active[s],
                 spare_pool=active,
             )
@@ -419,7 +401,7 @@ class PimSystem:
             if batch
         ]
         records, recovery = self._run_jobs(
-            jobs, workers, "align", plan, retry_policy, num_slots=num_slots
+            jobs, "align", fault_plan, retry_policy, num_slots=num_slots
         )
         per_dpu, results, regions, simulated, run_trace = self._merge_records(
             records, num_slots=num_slots
@@ -524,7 +506,6 @@ class PimSystem:
         spec: DatasetSpec,
         sample_pairs_per_dpu: int = 256,
         collect_results: bool = False,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> PimRunResult:
@@ -549,8 +530,6 @@ class PimSystem:
         k = min(max(sample_pairs_per_dpu, 2 * self.config.tasklets), load)
         scale = load / k
         layout = self.plan_layout(k)
-
-        plan = fault_plan if fault_plan is not None else self.fault_plan
         jobs = [
             self._make_job(
                 d,
@@ -563,12 +542,12 @@ class PimSystem:
                     count=k,
                 ),
                 pull=collect_results,
-                fault_plan=plan,
+                fault_plan=fault_plan,
             )
             for d in range(self.config.num_simulated_dpus)
         ]
         records, recovery = self._run_jobs(
-            jobs, workers, "model_run", plan, retry_policy
+            jobs, "model_run", fault_plan, retry_policy
         )
         per_dpu, results, regions, simulated, run_trace = self._merge_records(
             records

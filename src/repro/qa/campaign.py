@@ -611,16 +611,20 @@ def _serve_phase(
         config=ServiceConfig(
             max_batch_pairs=8,
             max_wait_s=1e-3,
-            cache_pairs=64,
+            cache_pairs=64 if ablation.cache else 0,
             pairs_per_round=cfg.pairs_per_round,
         ),
         clock=VirtualClock(),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
-        health_policy=HealthPolicy(**_HEALTH_KWARGS),
-        fallback=FallbackPolicy(min_healthy_fraction=_FALLBACK_THRESHOLD),
-        shards=cfg.baseline_shards,
-        ablation=ablation,
+        health_policy=ablation.health_policy(HealthPolicy(**_HEALTH_KWARGS)),
+        fallback=(
+            FallbackPolicy(min_healthy_fraction=_FALLBACK_THRESHOLD)
+            if ablation.fallback
+            else None
+        ),
+        engine=ablation.engine,
+        shards=ablation.resolve_shards(cfg.baseline_shards),
     )
     report = run_load(
         service,

@@ -876,7 +876,6 @@ def build_service(
     fallback: Optional[FallbackPolicy] = None,
     engine: str = "vector",
     shards: int = 1,
-    ablation=None,
     net_plan=None,
     transport_policy=None,
 ) -> AlignmentService:
@@ -915,30 +914,16 @@ def build_service(
     fallback decision folds the *link* healthy fraction in — a
     partitioned shard degrades the service exactly like dead DPUs do.
 
-    ``ablation`` (an :class:`~repro.pim.ablation.AblationConfig`)
-    overrides the individual knobs from one switchboard: it selects the
-    engine and shard count, strips ``health_policy`` when the breaker is
-    off, strips ``fallback`` when CPU fallback is off, and zeroes the
-    result cache when caching is off — so the campaign runner builds
-    every serve-stack variant from the same call site.
+    Each knob is set by exactly one argument and no argument overrides
+    another; the system shape lands in one
+    :class:`~repro.pim.config.PimSystemConfig` (``workers`` included)
+    and the kernel's in one :class:`~repro.pim.kernel.KernelConfig`.
     """
-    from dataclasses import replace as _replace
-
     from repro.core.penalties import AffinePenalties
     from repro.pim.config import PimSystemConfig
     from repro.pim.health import FleetHealth
     from repro.pim.kernel import KernelConfig
     from repro.pim.system import PimSystem
-
-    if ablation is not None:
-        ablation.validate()
-        engine = ablation.engine
-        shards = ablation.resolve_shards(shards)
-        health_policy = ablation.health_policy(health_policy)
-        if not ablation.fallback:
-            fallback = None
-        if not ablation.cache and config is not None and config.cache_pairs:
-            config = _replace(config, cache_pairs=0)
 
     telemetry = None
     if with_telemetry:

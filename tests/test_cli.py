@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -42,6 +44,276 @@ class TestParser:
         assert args.metric == "affine2p"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["align", "-i", "x", "--metric", "hamming"])
+
+
+def _describe_actions(parser: argparse.ArgumentParser) -> list[tuple]:
+    """What parsing depends on, per argparse action: dest, option strings,
+    default, type, choices, required, nargs and the action class."""
+    rows = []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            choices = tuple(sorted(choices))
+        elif choices is not None:
+            choices = tuple(choices)
+        rows.append(
+            (
+                action.dest,
+                tuple(action.option_strings),
+                action.default,
+                getattr(action.type, "__name__", action.type),
+                choices,
+                action.required,
+                action.nargs,
+                type(action).__name__,
+            )
+        )
+    return sorted(rows, key=repr)
+
+
+def _subcommand_parsers(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                key = f"{prefix} {name}".strip()
+                out[key] = sub
+                out.update(_subcommand_parsers(sub, key))
+    return out
+
+
+# Every subcommand's parsed options, as (dest, option_strings, default,
+# type, choices, required, nargs, action class); help wording is free to
+# change, these are not.
+PINNED_OPTIONS = {
+    'align': [
+        ('adaptive', ('--adaptive',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('input', ('-i', '--input'), None, None, None, True, None, '_StoreAction'),
+        ('linear_space', ('--linear-space',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+        ('output', ('-o', '--output'), None, None, None, False, None, '_StoreAction'),
+        ('score_only', ('--score-only',), False, None, None, False, 0, '_StoreTrueAction'),
+    ],
+    'bench': [
+        ('bench_command', (), None, None, ('compare', 'run'), True, 'A...', '_SubParsersAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+    ],
+    'bench compare': [
+        ('baseline', ('--baseline',), 'BENCH_baseline.json', None, None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('ledger', ('--ledger',), 'BENCH_ledger.json', None, None, False, None, '_StoreAction'),
+        ('max_drop', ('--max-drop',), 0.1, 'float', None, False, None, '_StoreAction'),
+        ('max_rise', ('--max-rise',), 0.1, 'float', None, False, None, '_StoreAction'),
+    ],
+    'bench run': [
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('ledger', ('--ledger',), 'BENCH_ledger.json', None, None, False, None, '_StoreAction'),
+        ('no_append', ('--no-append',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('profile', ('--profile',), 'quick', None, ('quick', 'full'), False, None, '_StoreAction'),
+        ('scenario', ('--scenario',), None, None, None, False, None, '_AppendAction'),
+    ],
+    'campaign': [
+        ('ablations', ('--ablations',), None, None, None, False, None, '_StoreAction'),
+        ('baseline_shards', ('--baseline-shards',), 2, 'int', None, False, None, '_StoreAction'),
+        ('dpus', ('--dpus',), 4, 'int', None, False, None, '_StoreAction'),
+        ('events_out', ('--events-out',), None, None, None, False, None, '_StoreAction'),
+        ('grid', ('--grid',), None, None, None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('length', ('--length',), 16, 'int', None, False, None, '_StoreAction'),
+        ('max_edits', ('--max-edits',), 4, 'int', None, False, None, '_StoreAction'),
+        ('pairs', ('--pairs',), 48, 'int', None, False, None, '_StoreAction'),
+        ('pairs_per_round', ('--pairs-per-round',), 8, 'int', None, False, None, '_StoreAction'),
+        ('report', ('--report',), None, None, None, False, None, '_StoreAction'),
+        ('resume', ('--resume',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('seed', ('--seed',), 42, 'int', None, False, None, '_StoreAction'),
+        ('serve_rate', ('--serve-rate',), 4000.0, 'float', None, False, None, '_StoreAction'),
+        ('serve_requests', ('--serve-requests',), 24, 'int', None, False, None, '_StoreAction'),
+        ('tasklets', ('--tasklets',), 2, 'int', None, False, None, '_StoreAction'),
+        ('workers', ('--workers',), 0, 'int', None, False, None, '_StoreAction'),
+    ],
+    'fig1': [
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('json', ('--json',), None, None, None, False, None, '_StoreAction'),
+        ('quick', ('--quick',), False, None, None, False, 0, '_StoreTrueAction'),
+    ],
+    'generate': [
+        ('error_model', ('--error-model',), 'exact', None, ('exact', 'uniform', 'binomial'), False, None, '_StoreAction'),
+        ('error_rate', ('--error-rate',), 0.02, 'float', None, False, None, '_StoreAction'),
+        ('format', ('--format',), 'seq', None, ('seq', 'fasta'), False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('length', ('--length',), 100, 'int', None, False, None, '_StoreAction'),
+        ('output', ('-o', '--output'), None, None, None, True, None, '_StoreAction'),
+        ('pairs', ('--pairs',), 1000, 'int', None, False, None, '_StoreAction'),
+        ('seed', ('--seed',), 0, 'int', None, False, None, '_StoreAction'),
+    ],
+    'loadgen': [
+        ('breaker', ('--breaker',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('burst', ('--burst',), 8, 'int', None, False, None, '_StoreAction'),
+        ('cache', ('--cache',), 0, 'int', None, False, None, '_StoreAction'),
+        ('cache_policy', ('--cache-policy',), 'lru', None, ('lru', 'lfu'), False, None, '_StoreAction'),
+        ('clients', ('--clients',), 4, 'int', None, False, None, '_StoreAction'),
+        ('dpus', ('--dpus',), 4, 'int', None, False, None, '_StoreAction'),
+        ('engine', ('--engine',), 'vector', None, ('scalar', 'vector'), False, None, '_StoreAction'),
+        ('error_rate', ('--error-rate',), 0.05, 'float', None, False, None, '_StoreAction'),
+        ('events_out', ('--events-out',), None, None, None, False, None, '_StoreAction'),
+        ('fallback_threshold', ('--fallback-threshold',), None, 'float', None, False, None, '_StoreAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('hedge', ('--hedge',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('kill_dpu', ('--kill-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('length', ('--length',), 16, 'int', None, False, None, '_StoreAction'),
+        ('link_timeout', ('--link-timeout',), None, 'float', None, False, None, '_StoreAction'),
+        ('max_batch_pairs', ('--max-batch-pairs',), 64, 'int', None, False, None, '_StoreAction'),
+        ('max_edits', ('--max-edits',), 4, 'int', None, False, None, '_StoreAction'),
+        ('max_queue_pairs', ('--max-queue-pairs',), 4096, 'int', None, False, None, '_StoreAction'),
+        ('max_read_len', ('--max-read-len',), 100, 'int', None, False, None, '_StoreAction'),
+        ('max_wait', ('--max-wait',), 0.001, 'float', None, False, None, '_StoreAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('metrics_out', ('--metrics-out',), None, None, None, False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+        ('net_plan', ('--net-plan',), None, None, None, False, None, '_StoreAction'),
+        ('pairs_per_request', ('--pairs-per-request',), 1, 'int', None, False, None, '_StoreAction'),
+        ('pairs_per_round', ('--pairs-per-round',), None, 'int', None, False, None, '_StoreAction'),
+        ('process', ('--process',), 'uniform', None, ('uniform', 'bursty', 'ramp'), False, None, '_StoreAction'),
+        ('rate', ('--rate',), 2000.0, 'float', None, False, None, '_StoreAction'),
+        ('rate_end', ('--rate-end',), None, 'float', None, False, None, '_StoreAction'),
+        ('report', ('--report',), None, None, None, False, None, '_StoreAction'),
+        ('requests', ('--requests',), 200, 'int', None, False, None, '_StoreAction'),
+        ('seed', ('--seed',), 0, 'int', None, False, None, '_StoreAction'),
+        ('shards', ('--shards',), 1, 'int', None, False, None, '_StoreAction'),
+        ('slo_budget', ('--slo-budget',), 0.01, 'float', None, False, None, '_StoreAction'),
+        ('slo_percentile', ('--slo-percentile',), 99.0, 'float', None, False, None, '_StoreAction'),
+        ('slo_target', ('--slo-target',), None, 'float', None, False, None, '_StoreAction'),
+        ('stall_dpu', ('--stall-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('tasklets', ('--tasklets',), 4, 'int', None, False, None, '_StoreAction'),
+        ('trace_out', ('--trace-out',), None, None, None, False, None, '_StoreAction'),
+        ('workers', ('--workers',), 1, 'int', None, False, None, '_StoreAction'),
+    ],
+    'map': [
+        ('both_strands', ('--both-strands',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+        ('output', ('-o', '--output'), None, None, None, True, None, '_StoreAction'),
+        ('reads', ('--reads',), None, None, None, True, None, '_StoreAction'),
+        ('reference', ('--reference',), None, None, None, True, None, '_StoreAction'),
+    ],
+    'pim-align': [
+        ('breaker', ('--breaker',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('dpus', ('--dpus',), 64, 'int', None, False, None, '_StoreAction'),
+        ('engine', ('--engine',), 'vector', None, ('scalar', 'vector'), False, None, '_StoreAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('hedge', ('--hedge',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('input', ('-i', '--input'), None, None, None, True, None, '_StoreAction'),
+        ('journal', ('--journal',), None, None, None, False, None, '_StoreAction'),
+        ('kill_dpu', ('--kill-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('link_timeout', ('--link-timeout',), None, 'float', None, False, None, '_StoreAction'),
+        ('max_edits', ('--max-edits',), None, 'int', None, False, None, '_StoreAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('metrics_out', ('--metrics-out',), None, None, None, False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+        ('net_plan', ('--net-plan',), None, None, None, False, None, '_StoreAction'),
+        ('output', ('-o', '--output'), None, None, None, False, None, '_StoreAction'),
+        ('pairs_per_round', ('--pairs-per-round',), None, 'int', None, False, None, '_StoreAction'),
+        ('policy', ('--policy',), 'mram', None, ('mram', 'wram'), False, None, '_StoreAction'),
+        ('resume', ('--resume',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('shard_workers', ('--shard-workers',), 1, 'int', None, False, None, '_StoreAction'),
+        ('shards', ('--shards',), 1, 'int', None, False, None, '_StoreAction'),
+        ('stall_dpu', ('--stall-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('tasklets', ('--tasklets',), 16, 'int', None, False, None, '_StoreAction'),
+        ('trace_out', ('--trace-out',), None, None, None, False, None, '_StoreAction'),
+        ('workers', ('--workers',), 1, 'int', None, False, None, '_StoreAction'),
+    ],
+    'qa': [
+        ('dpus', ('--dpus',), 4, 'int', None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('kill_dpu', ('--kill-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('max_edits', ('--max-edits',), 4, 'int', None, False, None, '_StoreAction'),
+        ('max_len', ('--max-len',), 32, 'int', None, False, None, '_StoreAction'),
+        ('no_shrink', ('--no-shrink',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('report', ('--report',), None, None, None, False, None, '_StoreAction'),
+        ('seed', ('--seed',), 42, 'int', None, False, None, '_StoreAction'),
+        ('shard_workers', ('--shard-workers',), 1, 'int', None, False, None, '_StoreAction'),
+        ('shards', ('--shards',), 1, 'int', None, False, None, '_StoreAction'),
+        ('tasklets', ('--tasklets',), 4, 'int', None, False, None, '_StoreAction'),
+        ('trials', ('--trials',), 200, 'int', None, False, None, '_StoreAction'),
+        ('workers', ('--workers',), 1, 'int', None, False, None, '_StoreAction'),
+    ],
+    'serve': [
+        ('breaker', ('--breaker',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('cache', ('--cache',), 0, 'int', None, False, None, '_StoreAction'),
+        ('cache_policy', ('--cache-policy',), 'lru', None, ('lru', 'lfu'), False, None, '_StoreAction'),
+        ('dpus', ('--dpus',), 4, 'int', None, False, None, '_StoreAction'),
+        ('engine', ('--engine',), 'vector', None, ('scalar', 'vector'), False, None, '_StoreAction'),
+        ('fallback_threshold', ('--fallback-threshold',), None, 'float', None, False, None, '_StoreAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('hedge', ('--hedge',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('input', ('-i', '--input'), None, None, None, False, None, '_StoreAction'),
+        ('kill_dpu', ('--kill-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('link_timeout', ('--link-timeout',), None, 'float', None, False, None, '_StoreAction'),
+        ('max_batch_pairs', ('--max-batch-pairs',), 64, 'int', None, False, None, '_StoreAction'),
+        ('max_edits', ('--max-edits',), 4, 'int', None, False, None, '_StoreAction'),
+        ('max_queue_pairs', ('--max-queue-pairs',), 4096, 'int', None, False, None, '_StoreAction'),
+        ('max_read_len', ('--max-read-len',), 100, 'int', None, False, None, '_StoreAction'),
+        ('max_wait', ('--max-wait',), 0.001, 'float', None, False, None, '_StoreAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('metrics_out', ('--metrics-out',), None, None, None, False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+        ('net_plan', ('--net-plan',), None, None, None, False, None, '_StoreAction'),
+        ('output', ('-o', '--output'), None, None, None, False, None, '_StoreAction'),
+        ('pairs_per_round', ('--pairs-per-round',), None, 'int', None, False, None, '_StoreAction'),
+        ('shards', ('--shards',), 1, 'int', None, False, None, '_StoreAction'),
+        ('stall_dpu', ('--stall-dpu',), None, 'int', None, False, None, '_StoreAction'),
+        ('tasklets', ('--tasklets',), 4, 'int', None, False, None, '_StoreAction'),
+        ('workers', ('--workers',), 1, 'int', None, False, None, '_StoreAction'),
+    ],
+    'stats': [
+        ('adaptive', ('--adaptive',), False, None, None, False, 0, '_StoreTrueAction'),
+        ('gap_extend', ('--gap-extend',), 2, 'int', None, False, None, '_StoreAction'),
+        ('gap_extend2', ('--gap-extend2',), 1, 'int', None, False, None, '_StoreAction'),
+        ('gap_open', ('--gap-open',), 6, 'int', None, False, None, '_StoreAction'),
+        ('gap_open2', ('--gap-open2',), 24, 'int', None, False, None, '_StoreAction'),
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('input', ('-i', '--input'), None, None, None, True, None, '_StoreAction'),
+        ('metric', ('--metric',), 'affine', None, ('affine', 'edit', 'linear', 'affine2p'), False, None, '_StoreAction'),
+        ('mismatch', ('--mismatch',), 4, 'int', None, False, None, '_StoreAction'),
+    ],
+    'sweep': [
+        ('help', ('-h', '--help'), '==SUPPRESS==', None, None, False, 0, '_HelpAction'),
+        ('which', (), None, None, ('tasklets', 'allocator', 'error-rate', 'read-length', 'dpus', 'algos', 'staging', 'sensitivity'), True, None, '_StoreAction'),
+    ],
+}
+
+
+class TestParsedOptions:
+    def test_subcommands_pinned(self):
+        assert sorted(_subcommand_parsers(build_parser())) == sorted(PINNED_OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+    def test_options_pinned(self, command):
+        parser = _subcommand_parsers(build_parser())[command]
+        assert _describe_actions(parser) == PINNED_OPTIONS[command]
 
 
 class TestGenerate:

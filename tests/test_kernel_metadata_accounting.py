@@ -275,14 +275,16 @@ class TestFailurePaths:
                 num_dpus=4, num_ranks=1, tasklets=2, num_simulated_dpus=4, workers=1
             ),
             kernel_config=CHUNKED,
+        )
+        pairs = ReadPairGenerator(length=40, error_rate=0.1, seed=6).pairs(16)
+        result = system.align(
+            pairs,
             fault_plan=FaultPlan(
                 seed=3,
                 stalls=(TaskletStall(dpu_id=1, dma_budget=1000, attempts=(0,)),),
             ),
             retry_policy=RetryPolicy(max_attempts=2),
         )
-        pairs = ReadPairGenerator(length=40, error_rate=0.1, seed=6).pairs(16)
-        result = system.align(pairs)
         clean = {
             "abandoned": False, "attempts": 1, "attempts_log": [],
             "backoff_seconds": 0.0, "errors": [], "num_pairs": 4,

@@ -50,7 +50,7 @@ def make_layout(kc: KernelConfig, per_dpu: int, tasklets: int) -> MramLayout:
     )
 
 
-def small_system(fault_plan=None, retry_policy=None, workers=1) -> PimSystem:
+def small_system(workers=1) -> PimSystem:
     return PimSystem(
         PimSystemConfig(
             num_dpus=4,
@@ -62,8 +62,6 @@ def small_system(fault_plan=None, retry_policy=None, workers=1) -> PimSystem:
         kernel_config=KernelConfig(
             penalties=EditPenalties(), max_read_len=40, max_edits=4
         ),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
     )
 
 
@@ -281,7 +279,7 @@ class TestRecovery:
         baseline = result_key(small_system().align(pairs))
         plan = FaultPlan(seed=3, deaths=(DpuDeath(dpu_id=2, attempts=(0, 1)),))
         for workers in (0, 2):
-            run = small_system().align(pairs, workers=workers, fault_plan=plan)
+            run = small_system(workers=workers).align(pairs, fault_plan=plan)
             assert result_key(run) == baseline
             assert run.recovery.all_ok
             assert run.recovery.records[2].attempts == 3
@@ -307,7 +305,7 @@ class TestRecovery:
             truncations=(TransferTruncation(dpu_id=0, direction="pull", keep_bytes=16),),
             stalls=(TaskletStall(dpu_id=3, dma_budget=5),),
         )
-        run = small_system().align(pairs, workers=2, fault_plan=plan)
+        run = small_system(workers=2).align(pairs, fault_plan=plan)
         assert result_key(run) == baseline
         assert run.recovery.all_ok
         assert run.recovery.faults_seen == 3

@@ -43,9 +43,13 @@ from repro.pim.system import PimSystem
 NUM_DPUS = 4
 
 
-def make_config() -> PimSystemConfig:
+def make_config(workers: int = 1) -> PimSystemConfig:
     return PimSystemConfig(
-        num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
+        num_dpus=NUM_DPUS,
+        num_ranks=1,
+        tasklets=4,
+        num_simulated_dpus=NUM_DPUS,
+        workers=workers,
     )
 
 
@@ -57,9 +61,11 @@ def make_kernel(penalties=None, max_read_len: int = 32) -> KernelConfig:
     )
 
 
-def make_fleet(shards: int, penalties=None, **kwargs) -> FleetCoordinator:
+def make_fleet(
+    shards: int, penalties=None, workers: int = 1, **kwargs
+) -> FleetCoordinator:
     return FleetCoordinator(
-        make_config(), make_kernel(penalties), shards=shards, **kwargs
+        make_config(workers), make_kernel(penalties), shards=shards, **kwargs
     )
 
 
@@ -196,6 +202,18 @@ class TestShardEquivalence:
         assert counters(parallel.metrics_snapshot()) == counters(
             sequential.metrics_snapshot()
         )
+
+    def test_shard_workers_keep_transfer_stats(self):
+        """Shards run on fresh systems in pool workers; their transfer
+        accounting still lands on the coordinator's shard systems."""
+        pairs = make_pairs(32)
+        stats = {}
+        for shard_workers in (1, 2):
+            fleet = make_fleet(2, shard_workers=shard_workers)
+            fleet.run(pairs, pairs_per_round=8)
+            stats[shard_workers] = [s.transfer.stats for s in fleet.systems]
+        assert stats[2] == stats[1]
+        assert all(s.pushes > 0 for s in stats[1])
 
 
 class TestAcceptance512:

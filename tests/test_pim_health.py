@@ -30,7 +30,7 @@ from repro.pim.system import PimSystem
 NUM_DPUS = 4
 
 
-def small_system(fault_plan=None, retry_policy=None) -> PimSystem:
+def small_system() -> PimSystem:
     return PimSystem(
         PimSystemConfig(
             num_dpus=NUM_DPUS, num_ranks=1, tasklets=4, num_simulated_dpus=NUM_DPUS
@@ -38,8 +38,6 @@ def small_system(fault_plan=None, retry_policy=None) -> PimSystem:
         kernel_config=KernelConfig(
             penalties=EditPenalties(), max_read_len=40, max_edits=4
         ),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
     )
 
 

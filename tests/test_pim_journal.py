@@ -199,6 +199,41 @@ class TestRunJournalFile:
         loaded = RunJournal.load(path)
         assert list(loaded.rounds()) == [0]
 
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_appends_rewrite_only_after_a_torn_tail(
+        self, tmp_path, monkeypatch, torn
+    ):
+        """Only ``create`` and the first append after a load that dropped
+        a torn line rewrite the whole file; every other append extends
+        it in place, and the bytes match a journal that was never torn."""
+        import repro.pim.journal as journal_mod
+
+        rewrites = []
+        real_write_atomic = journal_mod.write_atomic
+
+        def counting_write_atomic(path, text):
+            rewrites.append(path.name)
+            real_write_atomic(path, text)
+
+        monkeypatch.setattr(journal_mod, "write_atomic", counting_write_atomic)
+        run = small_system().align(workload(4), collect_results=True)
+        clean = tmp_path / "clean.jsonl"
+        journal = RunJournal.create(clean, self.fingerprint())
+        for k in range(4):
+            journal.append_round(k, 4 * k, 4, run)
+        assert rewrites == ["clean.jsonl"]
+
+        crashed = tmp_path / "crashed.jsonl"
+        lines = clean.read_text().splitlines(True)
+        tail = '{"type": "round", "index": 1, "trunc' if torn else ""
+        crashed.write_text("".join(lines[:2]) + tail)
+        rewrites.clear()
+        resumed = RunJournal.load(crashed)
+        for k in range(1, 4):
+            resumed.append_round(k, 4 * k, 4, run)
+        assert rewrites == (["crashed.jsonl"] if torn else [])
+        assert crashed.read_bytes() == clean.read_bytes()
+
     def test_malformed_middle_record_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"
         RunJournal.create(path, self.fingerprint())

@@ -106,7 +106,7 @@ class TestEquivalence:
         seq = BatchScheduler(make_system()).run(
             pairs, pairs_per_round=8, collect_results=True
         )
-        par = BatchScheduler(make_system(), workers=2).run(
+        par = BatchScheduler(make_system(workers=2)).run(
             pairs, pairs_per_round=8, collect_results=True
         )
         assert seq.schedule == par.schedule
@@ -116,10 +116,14 @@ class TestEquivalence:
         assert par.total_seconds == seq.total_seconds
 
     def test_workers_override_per_call(self):
+        """A worker count set through ``config.with_`` on an otherwise
+        identical system changes nothing the run returns."""
         pairs = ReadPairGenerator(length=50, error_rate=0.02, seed=9).pairs(8)
         system = make_system(workers=1)
         seq = system.align(pairs)
-        par = system.align(pairs, workers=2)
+        par = PimSystem(system.config.with_(workers=2), system.kernel_config).align(
+            pairs
+        )
         assert run_signature(par) == run_signature(seq)
 
 
